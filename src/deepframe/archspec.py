@@ -180,14 +180,6 @@ class BlockDef:
         return self.row == self.col
 
 
-@dataclass(frozen=True)
-class ConnectivityMask:
-    """Learnable and identity block positions of a spec (0-based)."""
-
-    learnable: tuple[tuple[int, int], ...]
-    identity: tuple[tuple[int, int], ...]
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -558,15 +550,6 @@ def block_table(spec: ArchitectureSpec) -> list[BlockDef]:
     return out
 
 
-def connectivity_mask(spec: ArchitectureSpec) -> ConnectivityMask:
-    """Learnable and identity block positions (0-based, row >= col)."""
-    learn: list[tuple[int, int]] = []
-    ident: list[tuple[int, int]] = []
-    for b in block_table(spec):
-        (learn if b.role == "learnable" else ident).append((b.row, b.col))
-    return ConnectivityMask(tuple(sorted(learn)), tuple(sorted(ident)))
-
-
 def param_count(spec: ArchitectureSpec) -> int:
     """Learnable scalar count; identity blocks contribute nothing."""
     total = 0
@@ -580,12 +563,10 @@ def param_count(spec: ArchitectureSpec) -> int:
 __all__ = [
     "ArchitectureSpec",
     "BlockDef",
-    "ConnectivityMask",
     "ConnectivitySpec",
     "LayerSpec",
     "SpecError",
     "block_table",
-    "connectivity_mask",
     "load_spec",
     "param_count",
     "parse_spec",

@@ -86,7 +86,7 @@ def _envelope(seed: int | None, specs) -> dict:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -135,16 +135,20 @@ def _load_params(path, spec: ArchitectureSpec):
     """
     path = str(path)
     if path.endswith(".json"):
-        doc = json.loads(Path(path).read_text())
-        return _params_from_json(doc, path)
-    arr = load_array(path)
-    learnable = [(b.row, b.col) for b in block_table(spec) if b.role == "learnable"]
-    if learnable != [(0, 0)]:
-        raise ValueError(
-            f"{path}: a bare matrix file can only parameterize a spec whose "
-            f"single learnable block is (0, 0); this spec has {learnable}"
-        )
-    return {(0, 0): np.asarray(arr, dtype=float)}
+        params = _params_from_json(json.loads(Path(path).read_text()), path)
+    else:
+        arr = load_array(path)
+        learnable = [(b.row, b.col) for b in block_table(spec) if b.role == "learnable"]
+        if learnable != [(0, 0)]:
+            raise ValueError(
+                f"{path}: a bare matrix file can only parameterize a spec whose "
+                f"single learnable block is (0, 0); this spec has {learnable}"
+            )
+        params = {(0, 0): np.asarray(arr, dtype=float)}
+    bad = sorted(key for key, arr in params.items() if not np.all(np.isfinite(arr)))
+    if bad:
+        raise ValueError(f"{path}: non-finite parameter values in blocks {bad}")
+    return params
 
 
 def _params_jsonable(params) -> dict:

@@ -48,7 +48,8 @@ def mutual_coherence(frame) -> float:
     """Largest |cosine| between two distinct columns of the operator.
 
     Columns are normalized internally, so the result is scale free and
-    lies in [0, 1]. Raises on zero columns (via normalization).
+    lies in [0, 1]. Raises on zero columns (via normalization); a NaN
+    entry makes the result NaN.
     """
     if isinstance(frame, GlobalFrame):
         target = frame if frame.normalized else normalize(frame)[0]
@@ -63,15 +64,15 @@ def mutual_coherence(frame) -> float:
             raise ValueError(f"columns {dead.tolist()} have zero norm")
         g = _as_gram(mat / norms)
 
-    best = 0.0
+    peaks = [0.0]
     for (j, k), blk in g.blocks.items():
         a = np.abs(blk)
         if j == k:
             a = a.copy()
             np.fill_diagonal(a, 0.0)
         if a.size:
-            best = max(best, float(a.max()))
-    return min(best, 1.0)
+            peaks.append(a.max())
+    return float(np.minimum(np.max(peaks), 1.0))
 
 
 def averaged_potential_bound(fp: float, trace: float, offdiag_count: int) -> float | None:

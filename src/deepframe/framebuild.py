@@ -4,7 +4,10 @@ The induced operator is block lower triangular over (row group, layer)
 pairs: diagonal blocks enter with a positive sign, off-diagonal blocks are
 stored in their natural orientation and enter negated and transposed.
 Storage is block sparse (one dense array per structural block); a full
-dense matrix is materialized on demand only for small operators.
+dense matrix is materialized on demand only for small operators. What
+does not depend on parameter values (blocks, offsets, convolution index
+maps, Gram block pairs, the structural off-diagonal count) is compiled
+once per spec into a :class:`FrameStructure`, which values fill in.
 
 Convolution blocks are linear operators that place every filter at every
 output grid position (zero padding, "same"-style, window t starts at
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,52 +144,170 @@ def conv_gram_nonzeros(layer: LayerSpec) -> int:
 # the global operator
 
 
+class FrameStructure:
+    """The value-independent description of a spec's global operator.
+
+    Holds the block table, the row/column offsets of every group, the row
+    groups of each column group (``rows_of``) and the column groups of
+    each row group (``cols_of``), the convolution index maps of the
+    learnable conv blocks, and, per Gram block pair (j, k) with j <= k,
+    the row groups both column groups touch (``shared``; pairs sharing
+    none are absent). Parameter values only fill it in: see :meth:`build`.
+    """
+
+    def __init__(self, spec: ArchitectureSpec):
+        self.spec = spec
+        self.blocks = tuple(block_table(spec))
+        self.learnable = tuple(b for b in self.blocks if b.role == "learnable")
+        self.row_dims = spec.row_dims
+        self.col_dims = spec.col_dims
+        self.row_off = tuple(accumulate(self.row_dims, initial=0))
+        self.col_off = tuple(accumulate(self.col_dims, initial=0))
+        depth = spec.depth
+        self.rows_of = tuple(tuple(b.row for b in self.blocks if b.col == j)
+                             for j in range(depth))
+        self.cols_of = tuple(tuple(b.col for b in self.blocks if b.row == i)
+                             for i in range(depth))
+        self.conv_entries = {
+            (b.row, b.col): conv_operator_entries(
+                channels=b.conv["channels"], filters=b.conv["filters"],
+                spatial=b.conv["spatial"], filter_size=b.conv["filter"],
+                stride=b.conv["stride"], ndim=b.conv["ndim"])
+            for b in self.learnable if b.form == "conv"
+        }
+        self.shared = {}
+        for j in range(depth):
+            for k in range(j, depth):
+                rows = sorted(set(self.rows_of[j]) & set(self.rows_of[k]))
+                if rows:
+                    self.shared[(j, k)] = tuple(rows)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.row_off[-1], self.col_off[-1])
+
+    def placed_block(self, b: BlockDef, stored: np.ndarray) -> np.ndarray:
+        """Turn a stored parameter array into the signed global submatrix."""
+        if b.form == "conv":
+            stored = conv_matrix_from_entries(self.conv_entries[(b.row, b.col)], stored)
+        return stored if b.is_diagonal else -stored.T
+
+    @functools.cached_property
+    def offdiag_count(self) -> int:
+        """Structurally nonzero off-diagonal entries of the Gram matrix.
+
+        Counts ordered column pairs whose placed supports overlap; values
+        play no part. Computed on first use, since it costs a product of
+        0/1 patterns per shared block pair.
+        """
+        support = {}
+        for b in self.blocks:
+            if b.role == "identity":
+                support[(b.row, b.col)] = np.eye(b.placed_shape[0])
+            elif b.form == "conv":
+                support[(b.row, b.col)] = np.abs(self.placed_block(b, np.ones(b.shape)))
+            else:
+                support[(b.row, b.col)] = np.ones(b.placed_shape)
+        count = 0
+        for (j, k), rows in self.shared.items():
+            pattern = np.zeros((self.col_dims[j], self.col_dims[k]), dtype=bool)
+            for i in rows:
+                pattern |= (support[(i, j)].T @ support[(i, k)]) > 0
+            if j == k:
+                count += int(pattern.sum()) - int(np.diagonal(pattern).sum())
+            else:
+                count += 2 * int(pattern.sum())
+        return count
+
+    def build(self, params: dict[tuple[int, int], np.ndarray] | None = None,
+              seed: int | None = None) -> GlobalFrame:
+        """Fill parameter values into the structure.
+
+        Either pass ``params`` (one array per learnable block, keyed by
+        (j, k), stored orientation as in
+        :func:`deepframe.archspec.block_table`) or a ``seed`` for Gaussian
+        initialization with per-block scale 1/sqrt(fan-in).
+        """
+        if params is None:
+            if seed is None:
+                raise FrameBuildError("random initialization needs an explicit seed")
+            rng = np.random.default_rng(seed)
+            params = {(b.row, b.col): _init_block(b, rng) for b in self.learnable}
+        else:
+            errors = []
+            want = {(b.row, b.col): b.shape for b in self.learnable}
+            for key in sorted(want):
+                if key not in params:
+                    errors.append(f"block {key}: missing parameters")
+                else:
+                    got = np.asarray(params[key]).shape
+                    if got != want[key]:
+                        errors.append(f"block {key}: expected shape {want[key]}, got {got}")
+            for key in sorted(set(params) - set(want)):
+                errors.append(f"block {key}: spec has no learnable block there")
+            if errors:
+                raise FrameBuildError("; ".join(errors))
+            params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+
+        placed: dict[tuple[int, int], np.ndarray] = {}
+        for b in self.blocks:
+            key = (b.row, b.col)
+            if b.role == "identity":
+                eye = np.eye(b.placed_shape[0])
+                placed[key] = eye if b.is_diagonal else -eye
+                continue
+            placed[key] = self.placed_block(b, params[key])
+            if b.is_diagonal:
+                dead = np.nonzero(np.linalg.norm(placed[key], axis=0) == 0.0)[0]
+                if dead.size:
+                    raise FrameBuildError(
+                        f"diagonal block ({b.row}, {b.col}) has zero columns at "
+                        f"{dead.tolist()}"
+                    )
+        return GlobalFrame(structure=self, params=params, placed=placed)
+
+
+def frame_structure(spec: ArchitectureSpec) -> FrameStructure:
+    """Compile a spec's block geometry once; values are filled in by ``build``."""
+    return FrameStructure(spec)
+
+
 @dataclass
 class GlobalFrame:
     """A built global operator.
 
-    ``params`` maps learnable block positions to their stored parameter
-    arrays; ``placed`` maps every structural block position to the actual
-    (signed) dense submatrix of the operator; ``support`` holds the 0/1
-    structural pattern of each placed block (parameter values do not affect
-    it). ``normalized`` marks frames produced by :func:`normalize`, whose
-    placed columns have unit norm and whose ``params`` are empty.
+    ``structure`` is the value-independent :class:`FrameStructure` it was
+    built from; ``params`` maps learnable block positions to their stored
+    parameter arrays; ``placed`` maps every structural block position to
+    the actual (signed) dense submatrix of the operator. ``normalized``
+    marks frames produced by :func:`normalize`, whose placed columns have
+    unit norm and whose ``params`` are empty.
     """
 
-    spec: ArchitectureSpec
-    blocks: tuple[BlockDef, ...]
+    structure: FrameStructure
     params: dict[tuple[int, int], np.ndarray]
     placed: dict[tuple[int, int], np.ndarray]
-    support: dict[tuple[int, int], np.ndarray]
     normalized: bool = False
 
     @property
+    def spec(self) -> ArchitectureSpec:
+        return self.structure.spec
+
+    @property
     def row_dims(self) -> tuple[int, ...]:
-        return self.spec.row_dims
+        return self.structure.row_dims
 
     @property
     def col_dims(self) -> tuple[int, ...]:
-        return self.spec.col_dims
+        return self.structure.col_dims
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (sum(self.row_dims), sum(self.col_dims))
+        return self.structure.shape
 
     @property
     def depth(self) -> int:
         return self.spec.depth
-
-    def row_offset(self, i: int) -> int:
-        return sum(self.row_dims[:i])
-
-    def col_offset(self, j: int) -> int:
-        return sum(self.col_dims[:j])
-
-    def rows_for_col(self, j: int) -> list[int]:
-        return sorted(i for (i, jj) in self.placed if jj == j)
-
-    def cols_for_row(self, i: int) -> list[int]:
-        return sorted(j for (ii, j) in self.placed if ii == i)
 
     def materialize(self, max_cols: int = MATERIALIZE_COL_LIMIT) -> np.ndarray:
         """Dense global matrix; refuses operators wider than ``max_cols``."""
@@ -195,20 +317,20 @@ class GlobalFrame:
                 f"refusing to materialize a {n_rows}x{n_cols} operator "
                 f"(limit {max_cols} columns); use the block interfaces"
             )
+        st = self.structure
         out = np.zeros((n_rows, n_cols))
         for (i, j), blk in self.placed.items():
-            r0, c0 = self.row_offset(i), self.col_offset(j)
-            out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
+            out[st.row_off[i]:st.row_off[i + 1], st.col_off[j]:st.col_off[j + 1]] = blk
         return out
 
     def column_block(self, j: int) -> np.ndarray:
         """The stacked placed blocks of column group j (for operator norms)."""
-        return np.vstack([self.placed[(i, j)] for i in self.rows_for_col(j)])
+        return np.vstack([self.placed[(i, j)] for i in self.structure.rows_of[j]])
 
     def column_norms(self, j: int) -> np.ndarray:
         """Norms of the global columns of group j."""
         total = np.zeros(self.col_dims[j])
-        for i in self.rows_for_col(j):
+        for i in self.structure.rows_of[j]:
             blk = self.placed[(i, j)]
             total += np.einsum("ij,ij->j", blk, blk)
         return np.sqrt(total)
@@ -222,97 +344,11 @@ def _init_block(b: BlockDef, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(b.shape) / math.sqrt(fan_in)
 
 
-def _conv_entries_for(b: BlockDef, entries_cache: dict):
-    key = tuple(sorted(b.conv.items()))
-    if key not in entries_cache:
-        entries_cache[key] = conv_operator_entries(
-            channels=b.conv["channels"],
-            filters=b.conv["filters"],
-            spatial=b.conv["spatial"],
-            filter_size=b.conv["filter"],
-            stride=b.conv["stride"],
-            ndim=b.conv["ndim"],
-        )
-    return entries_cache[key]
-
-
-def _place(b: BlockDef, stored: np.ndarray, entries_cache: dict) -> np.ndarray:
-    """Turn a stored parameter array into the signed global submatrix."""
-    if b.form == "conv":
-        mat = conv_matrix_from_entries(_conv_entries_for(b, entries_cache), stored)
-        return mat if b.is_diagonal else -mat.T
-    return stored if b.is_diagonal else -stored.T
-
-
-def _support_pattern(b: BlockDef, entries_cache: dict) -> np.ndarray:
-    """Structural 0/1 pattern of the placed block (values play no part)."""
-    if b.role == "identity":
-        return np.eye(b.placed_shape[0])
-    if b.form == "conv":
-        ones = np.ones(b.shape)
-        pat = _place(b, ones, entries_cache)
-        return np.abs(pat)
-    return np.ones(b.placed_shape)
-
-
 def build_global_frame(spec: ArchitectureSpec,
                        params: dict[tuple[int, int], np.ndarray] | None = None,
                        seed: int | None = None) -> GlobalFrame:
-    """Assemble the global operator for a spec.
-
-    Either pass ``params`` (one array per learnable block, keyed by (j, k),
-    stored orientation as in :func:`deepframe.archspec.block_table`) or a
-    ``seed`` for Gaussian initialization with per-block scale 1/sqrt(fan-in).
-    """
-    blocks = tuple(block_table(spec))
-    learnable = [b for b in blocks if b.role == "learnable"]
-    entries_cache: dict = {}
-
-    if params is None:
-        if seed is None:
-            raise FrameBuildError("random initialization needs an explicit seed")
-        rng = np.random.default_rng(seed)
-        params = {(b.row, b.col): _init_block(b, rng) for b in learnable}
-    else:
-        errors = []
-        want = {(b.row, b.col): b.shape for b in learnable}
-        for key in sorted(want):
-            if key not in params:
-                errors.append(f"block {key}: missing parameters")
-            else:
-                got = np.asarray(params[key]).shape
-                if got != want[key]:
-                    errors.append(f"block {key}: expected shape {want[key]}, got {got}")
-        for key in sorted(set(params) - set(want)):
-            errors.append(f"block {key}: spec has no learnable block there")
-        if errors:
-            raise FrameBuildError("; ".join(errors))
-        params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    placed: dict[tuple[int, int], np.ndarray] = {}
-    support: dict[tuple[int, int], np.ndarray] = {}
-    for b in blocks:
-        key = (b.row, b.col)
-        if b.role == "identity":
-            eye = np.eye(b.placed_shape[0])
-            placed[key] = eye if b.is_diagonal else -eye
-        else:
-            placed[key] = _place(b, params[key], entries_cache)
-        support[key] = _support_pattern(b, entries_cache)
-
-    for b in blocks:
-        if b.is_diagonal:
-            diag = placed[(b.row, b.col)]
-            norms = np.linalg.norm(diag, axis=0)
-            dead = np.nonzero(norms == 0.0)[0]
-            if dead.size:
-                raise FrameBuildError(
-                    f"diagonal block ({b.row}, {b.col}) has zero columns at "
-                    f"{dead.tolist()}"
-                )
-
-    return GlobalFrame(spec=spec, blocks=blocks, params=params,
-                       placed=placed, support=support)
+    """Assemble the global operator for a spec: see :meth:`FrameStructure.build`."""
+    return frame_structure(spec).build(params=params, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +382,7 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
     col_norms: dict[int, np.ndarray] = {}
     for j in range(frame.depth):
         total = np.zeros(frame.col_dims[j])
-        for i in frame.rows_for_col(j):
+        for i in frame.structure.rows_of[j]:
             blk = frame.placed[(i, j)]
             sq = np.einsum("ij,ij->j", blk, blk)
             block_norms[(i, j)] = np.sqrt(sq)
@@ -364,14 +400,8 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
         (i, j): frame.placed[(i, j)] / col_norms[j]
         for (i, j) in frame.placed
     }
-    normalized = GlobalFrame(
-        spec=frame.spec,
-        blocks=frame.blocks,
-        params={},
-        placed=placed,
-        support=dict(frame.support),
-        normalized=True,
-    )
+    normalized = GlobalFrame(structure=frame.structure, params={},
+                             placed=placed, normalized=True)
     return normalized, NormalizationState(block_norms=block_norms, col_norms=col_norms)
 
 
@@ -419,29 +449,18 @@ class GramStructure:
 
 def gram(frame: GlobalFrame) -> GramStructure:
     """G = B^T B computed block-pair-wise, without materializing B."""
-    depth = frame.depth
-    rows_of = {j: frame.rows_for_col(j) for j in range(depth)}
+    st = frame.structure
     blocks: dict[tuple[int, int], np.ndarray] = {}
-    offdiag = 0
     trace = 0.0
-    for j in range(depth):
-        for k in range(j, depth):
-            shared = sorted(set(rows_of[j]) & set(rows_of[k]))
-            if not shared:
-                continue
-            acc = np.zeros((frame.col_dims[j], frame.col_dims[k]))
-            pattern = np.zeros_like(acc, dtype=bool)
-            for i in shared:
-                acc += frame.placed[(i, j)].T @ frame.placed[(i, k)]
-                pattern |= (frame.support[(i, j)].T @ frame.support[(i, k)]) > 0
-            blocks[(j, k)] = acc
-            if j == k:
-                trace += float(np.trace(acc))
-                offdiag += int(pattern.sum()) - int(np.diagonal(pattern).sum())
-            else:
-                offdiag += 2 * int(pattern.sum())
-    return GramStructure(blocks=blocks, col_dims=frame.col_dims,
-                         trace=trace, offdiag_count=offdiag)
+    for (j, k), rows in st.shared.items():
+        acc = np.zeros((st.col_dims[j], st.col_dims[k]))
+        for i in rows:
+            acc += frame.placed[(i, j)].T @ frame.placed[(i, k)]
+        blocks[(j, k)] = acc
+        if j == k:
+            trace += float(np.trace(acc))
+    return GramStructure(blocks=blocks, col_dims=st.col_dims,
+                         trace=trace, offdiag_count=st.offdiag_count)
 
 
 def chain_gram_closed_form(frame: GlobalFrame) -> dict[tuple[int, int], np.ndarray]:
@@ -476,6 +495,7 @@ def chain_gram_closed_form(frame: GlobalFrame) -> dict[tuple[int, int], np.ndarr
 
 __all__ = [
     "FrameBuildError",
+    "FrameStructure",
     "GlobalFrame",
     "GramStructure",
     "MATERIALIZE_COL_LIMIT",
@@ -486,6 +506,7 @@ __all__ = [
     "conv_gram_nonzeros",
     "conv_matrix_from_entries",
     "conv_operator_entries",
+    "frame_structure",
     "gram",
     "materialize_conv_operator",
     "normalize",

@@ -184,6 +184,8 @@ def _check_input(frame: GlobalFrame, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input has dimension {x.shape[0]}, frame expects {frame.row_dims[0]}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input signal has non-finite entries")
     return x
 
 
@@ -198,7 +200,7 @@ def _upstream_drive(frame: GlobalFrame, j: int, codes: list[np.ndarray],
     if j == 0:
         return x
     acc = np.zeros(frame.row_dims[j])
-    for k in frame.cols_for_row(j):
+    for k in frame.structure.cols_of[j]:
         if k < j:
             acc -= frame.placed[(j, k)] @ codes[k]
     return acc
@@ -340,7 +342,7 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
                 raise ValueError(f"initial codes for layer {j} must be nonnegative")
             codes.append(arr.copy())
     prev_codes = [c.copy() for c in codes]
-    rows_below = {j: [i for i in frame.rows_for_col(j) if i > j] for j in range(depth)}
+    rows_below = {j: [i for i in frame.structure.rows_of[j] if i > j] for j in range(depth)}
     objectives: list[float] = []
     first_sweep_stale = init is None
 

@@ -121,7 +121,7 @@ def load_signals(path, expected_dim: int) -> np.ndarray:
     """Load one signal per row and check the ambient dimension.
 
     A single vector of length ``expected_dim`` is accepted and promoted
-    to a one-row matrix.
+    to a one-row matrix. Signals with NaN or infinite entries are refused.
     """
     arr = load_array(path)
     if arr.ndim == 1:
@@ -131,6 +131,9 @@ def load_signals(path, expected_dim: int) -> np.ndarray:
             f"{path}: signals have dimension {arr.shape[1]}, "
             f"but the frame expects {expected_dim}"
         )
+    bad = np.nonzero(~np.all(np.isfinite(arr), axis=1))[0]
+    if bad.size:
+        raise MatrixIOError(f"{path}: signals {bad.tolist()} have non-finite entries")
     return arr
 
 

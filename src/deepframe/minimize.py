@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .archspec import ArchitectureSpec, BlockDef
-from .framebuild import (FrameBuildError, NormalizationError,
-                         build_global_frame, conv_operator_entries, gram)
+from .archspec import ArchitectureSpec
+from .framebuild import (FrameBuildError, FrameStructure, NormalizationError,
+                         frame_structure)
 
 
 class MinimizeError(RuntimeError):
@@ -78,73 +78,43 @@ class MinimizeResult:
         return self.objective * self.offdiag_count + self.total_cols
 
 
-class _Workspace:
-    """Per-spec constants: block geometry, slices, conv entry maps."""
-
-    def __init__(self, spec: ArchitectureSpec):
-        self.spec = spec
-        probe = build_global_frame(spec, seed=0)
-        self.blocks = probe.blocks
-        self.learnable = [b for b in self.blocks if b.role == "learnable"]
-        self.keys = sorted((b.row, b.col) for b in self.learnable)
-        self.offdiag_count = gram(probe).offdiag_count
-        row_off = np.concatenate(([0], np.cumsum(spec.row_dims))).astype(int)
-        col_off = np.concatenate(([0], np.cumsum(spec.col_dims))).astype(int)
-        self.row_off, self.col_off = row_off, col_off
-        self.total_cols = int(col_off[-1])
-        self.conv_entries = {}
-        for b in self.learnable:
-            if b.form == "conv":
-                self.conv_entries[(b.row, b.col)] = conv_operator_entries(
-                    channels=b.conv["channels"], filters=b.conv["filters"],
-                    spatial=b.conv["spatial"], filter_size=b.conv["filter"],
-                    stride=b.conv["stride"], ndim=b.conv["ndim"])
-        if self.offdiag_count == 0:
-            raise ValueError(
-                "this structure has no off-diagonal Gram entries; orthogonality "
-                "is attainable and there is nothing to minimize"
-            )
-
-    def block_def(self, key) -> BlockDef:
-        for b in self.learnable:
-            if (b.row, b.col) == key:
-                return b
-        raise KeyError(key)
-
-    def block_slice(self, b: BlockDef):
-        r = slice(self.row_off[b.row], self.row_off[b.row + 1])
-        c = slice(self.col_off[b.col], self.col_off[b.col + 1])
-        return r, c
+def _compile(spec: ArchitectureSpec) -> FrameStructure:
+    st = frame_structure(spec)
+    if st.offdiag_count == 0:
+        raise ValueError(
+            "this structure has no off-diagonal Gram entries; orthogonality "
+            "is attainable and there is nothing to minimize"
+        )
+    return st
 
 
-def _evaluate(ws: _Workspace, params) -> tuple[float, float, np.ndarray, np.ndarray]:
+def _evaluate(st: FrameStructure, params) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Objective, coherence, normalized matrix, and column norms."""
-    frame = build_global_frame(ws.spec, params=params)
-    B = frame.materialize(max_cols=max(ws.total_cols, 1))
+    B = st.build(params=params).materialize(max_cols=max(st.shape[1], 1))
     norms = np.linalg.norm(B, axis=0)
     if np.any(norms == 0.0):
         raise NormalizationError("zero global column during optimization")
     Bn = B / norms
     E = Bn.T @ Bn
     np.fill_diagonal(E, 0.0)
-    obj = float(np.sum(E * E)) / ws.offdiag_count
+    obj = float(np.sum(E * E)) / st.offdiag_count
     mu = float(np.max(np.abs(E))) if E.size else 0.0
     return obj, mu, Bn, norms
 
 
-def _gradient_from_state(ws: _Workspace, Bn: np.ndarray, norms: np.ndarray):
+def _gradient_from_state(st: FrameStructure, Bn: np.ndarray, norms: np.ndarray):
     E = Bn.T @ Bn
     np.fill_diagonal(E, 0.0)
-    gt = (4.0 / ws.offdiag_count) * (Bn @ E)
+    gt = (4.0 / st.offdiag_count) * (Bn @ E)
     radial = np.einsum("ij,ij->j", Bn, gt)
     gb = (gt - Bn * radial) / norms
     grads: dict[tuple[int, int], np.ndarray] = {}
-    for b in ws.learnable:
-        rs, cs = ws.block_slice(b)
-        sub = gb[rs, cs]
+    for b in st.learnable:
         key = (b.row, b.col)
+        sub = gb[st.row_off[b.row]:st.row_off[b.row + 1],
+                 st.col_off[b.col]:st.col_off[b.col + 1]]
         if b.form == "conv":
-            rows, cols, taps, _ = ws.conv_entries[key]
+            rows, cols, taps, _ = st.conv_entries[key]
             if b.is_diagonal:
                 weights = sub[rows, cols]
             else:
@@ -166,26 +136,25 @@ def potential_gradient(params: dict[tuple[int, int], np.ndarray],
     Returns one array per learnable block, matching ``params`` shapes.
     Verified against central finite differences in the test suite.
     """
-    ws = _Workspace(spec)
-    _, _, Bn, norms = _evaluate(ws, params)
-    return _gradient_from_state(ws, Bn, norms)
+    st = _compile(spec)
+    _, _, Bn, norms = _evaluate(st, params)
+    return _gradient_from_state(st, Bn, norms)
 
 
 def _grad_norm_sq(grads) -> float:
     return sum(float(np.sum(g * g)) for g in grads.values())
 
 
-def _descend(ws: _Workspace, seed: int, opts: MinimizeOptions):
+def _descend(st: FrameStructure, seed: int, opts: MinimizeOptions):
     """One restart: returns (objective, mu, params, trajectory, iterations)."""
-    frame = build_global_frame(ws.spec, seed=seed)
-    params = {k: v.copy() for k, v in frame.params.items()}
-    obj, mu, Bn, norms = _evaluate(ws, params)
+    params = {k: v.copy() for k, v in st.build(seed=seed).params.items()}
+    obj, mu, Bn, norms = _evaluate(st, params)
     trajectory = [(0, obj, mu)]
     step = opts.step
     history = [obj]
     iters_done = 0
     for it in range(1, opts.max_iters + 1):
-        grads = _gradient_from_state(ws, Bn, norms)
+        grads = _gradient_from_state(st, Bn, norms)
         gnorm_sq = _grad_norm_sq(grads)
         if gnorm_sq == 0.0:
             break
@@ -193,7 +162,7 @@ def _descend(ws: _Workspace, seed: int, opts: MinimizeOptions):
         while step > 1e-18:
             trial = {k: params[k] - step * grads[k] for k in params}
             try:
-                t_obj, t_mu, t_Bn, t_norms = _evaluate(ws, trial)
+                t_obj, t_mu, t_Bn, t_norms = _evaluate(st, trial)
             except (FrameBuildError, NormalizationError):
                 step *= 0.5
                 continue
@@ -227,14 +196,14 @@ def minimize_deep_frame_potential(spec: ArchitectureSpec,
     if every restart fails, raises :class:`MinimizeError`.
     """
     opts = opts or MinimizeOptions()
-    ws = _Workspace(spec)
+    st = _compile(spec)
     outcomes = []
     trajectories: list[list[tuple[int, float, float]]] = []
     failures: list[tuple[int, str]] = []
     for r in range(opts.restarts):
         seed = opts.seed + r
         try:
-            obj, mu, params, traj, iters = _descend(ws, seed, opts)
+            obj, mu, params, traj, iters = _descend(st, seed, opts)
         except (FloatingPointError, FrameBuildError, NormalizationError) as exc:
             failures.append((seed, str(exc)))
             continue
@@ -252,8 +221,8 @@ def minimize_deep_frame_potential(spec: ArchitectureSpec,
         trajectories=trajectories,
         iterations=iters,
         seed=seed,
-        offdiag_count=ws.offdiag_count,
-        total_cols=ws.total_cols,
+        offdiag_count=st.offdiag_count,
+        total_cols=st.shape[1],
         failed_restarts=failures,
     )
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from deepframe.archspec import (
     SpecError,
     block_table,
-    connectivity_mask,
     load_spec,
     param_count,
     parse_spec,
@@ -223,13 +222,3 @@ def test_block_table_conv_metadata():
     assert blk.conv == {"channels": 4, "filters": 3, "spatial": 5,
                         "filter": 3, "stride": 1, "ndim": 2}
     assert blk.shape == (3, 4, 3, 3)
-
-
-def test_connectivity_mask_matches_block_table():
-    spec = fc_spec("dense", 3, [5, 4, 4])
-    mask = connectivity_mask(spec)
-    blocks = block_table(spec)
-    assert set(mask.learnable) == {(b.row, b.col) for b in blocks
-                                   if b.role == "learnable"}
-    assert set(mask.identity) == {(b.row, b.col) for b in blocks
-                                  if b.role == "identity"}

@@ -104,6 +104,30 @@ def test_analyze_params_rejected_for_multiblock(tmp_path):
     assert main(["analyze", str(spec), "--params", str(tmp_path / "m.csv")]) == 1
 
 
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_analyze_refuses_non_finite_params(specdir, tmp_path, capsys, suffix):
+    params = tmp_path / f"p{suffix}"
+    if suffix == ".json":
+        params.write_text('{"0,0": [[1.0, 0.0, NaN], [0.0, 1.0, 1.0]]}')
+    else:
+        params.write_text("1.0,0.0,nan\n0.0,1.0,1.0\n")
+    assert main(["analyze", str(specdir / "tri.json"),
+                 "--params", str(params)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(params) in captured.err and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("method", ["feed_forward", "layered_bp", "bcd"])
+def test_infer_refuses_non_finite_signals(specdir, tmp_path, capsys, method):
+    write_csv(tmp_path / "x.csv", np.array([[0.3, 0.9], [np.inf, 0.1]]))
+    assert main(["infer", str(specdir / "tri.json"), str(tmp_path / "x.csv"),
+                 "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tmp_path / "x.csv") in captured.err and "[1]" in captured.err
+
+
 def test_minimize_outputs_and_reruns_identically(specdir, tmp_path):
     out1 = tmp_path / "m1.json"
     out2 = tmp_path / "m2.json"

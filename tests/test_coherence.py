@@ -56,6 +56,12 @@ def test_mutual_coherence_orthonormal():
     assert mutual_coherence(np.eye(4)) == 0.0
 
 
+def test_mutual_coherence_propagates_nan():
+    b = mercedes_benz().copy()
+    b[0, 1] = np.nan
+    assert math.isnan(mutual_coherence(b))
+
+
 def test_mutual_coherence_accepts_frame_objects():
     spec = fc_spec("chain", 3, [5, 4])
     frame = build_global_frame(spec, seed=7)

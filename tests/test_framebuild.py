@@ -185,7 +185,7 @@ def test_normalize_gives_unit_columns():
     # magnitudes recorded per layer, matching the unnormalized columns
     raw = frame.materialize()
     for j in range(frame.depth):
-        lo = frame.col_offset(j)
+        lo = frame.structure.col_off[j]
         hi = lo + frame.col_dims[j]
         assert np.allclose(state.col_norms[j],
                            np.linalg.norm(raw[:, lo:hi], axis=0))
@@ -231,6 +231,25 @@ def test_gram_trace_and_counts():
     full = g.full()
     structural = np.count_nonzero(np.abs(full) > 0) - full.shape[0]
     assert g.offdiag_count >= structural
+
+
+@pytest.mark.parametrize("spec", [
+    fc_spec("chain", 4, [6, 5, 3]),
+    fc_spec("residual", 4, [6, 5, 6]),
+    fc_spec("dense", 4, [6, 5, 3]),
+    conv_spec("chain", 2, 4, [3, 2]),
+    conv_spec("chain", 2, 5, [3], stride=2),
+    conv_spec("residual", 1, 6, [2, 3, 2], ndim=1),
+    conv_spec("dense", 1, 4, [2, 2, 2]),
+], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv-stride2",
+        "conv1d-residual", "conv-dense"])
+def test_offdiag_count_equals_support_overlap(spec):
+    # the structural count is the overlap count of the materialized supports
+    frame = build_global_frame(spec, seed=3)
+    support = (frame.materialize() != 0).astype(float)
+    overlap = (support.T @ support) > 0
+    expected = int(overlap.sum()) - overlap.shape[0]
+    assert gram(normalize(frame)[0]).offdiag_count == expected
 
 
 def test_chain_closed_form_agrees():

@@ -163,6 +163,16 @@ def test_feed_forward_validates_input():
         feed_forward(np.zeros(3), frame, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("method", [feed_forward, layered_basis_pursuit,
+                                    bcd_inference])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_methods_refuse_non_finite_signal(method, bad):
+    spec = fc_spec("chain", 3, [5, 4])
+    frame = build_global_frame(spec, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        method(np.array([0.5, bad, -1.0]), frame, 0.1)
+
+
 # --- block coordinate descent -------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from deepframe import archspec, framebuild
 from deepframe.coherence import frame_potential, mutual_coherence
 from deepframe.framebuild import build_global_frame, gram, normalize
 from deepframe.minimize import (
@@ -160,3 +161,21 @@ def test_no_offdiagonal_structure_is_an_error():
     spec = fc_spec("chain", 2, [1])
     with pytest.raises(ValueError, match="off-diagonal"):
         minimize_deep_frame_potential(spec, MinimizeOptions(seed=0))
+
+
+def test_structure_compiled_once_per_call(monkeypatch):
+    # every evaluation of every restart fills values into one structure
+    calls = []
+    real = archspec.block_table
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(archspec, "block_table", counting)
+    monkeypatch.setattr(framebuild, "block_table", counting)
+    spec = conv_spec("chain", 1, 4, [2, 2], filt=3)
+    res = minimize_deep_frame_potential(
+        spec, MinimizeOptions(seed=0, restarts=2, max_iters=20))
+    assert len(res.trajectories) == 2
+    assert len(calls) == 1
