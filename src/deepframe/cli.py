@@ -37,6 +37,7 @@ from .inference import (
     DivergenceError,
     UnsupportedMethodError,
     bcd_inference,
+    block_step_sizes,
     feed_forward,
     layered_basis_pursuit,
 )
@@ -240,6 +241,9 @@ def cmd_infer(args) -> int:
     else:
         frame = build_global_frame(spec, seed=args.seed)
     signals = load_signals(args.inputs, spec.input_dim)
+    if args.method == "bcd":
+        # the automatic steps depend on the frame alone: estimate them once
+        gamma = block_step_sizes(frame) if args.gamma is None else args.gamma
     records = []
     for x in signals:
         if args.method == "feed_forward":
@@ -247,7 +251,6 @@ def cmd_infer(args) -> int:
         elif args.method == "layered_bp":
             res = layered_basis_pursuit(x, frame, args.penalty, budget=args.iters)
         else:
-            gamma = "auto" if args.gamma is None else args.gamma
             res = bcd_inference(x, frame, args.penalty, cycles=args.iters,
                                 gamma=gamma)
         records.append({

@@ -327,14 +327,6 @@ class GlobalFrame:
         """The stacked placed blocks of column group j (for operator norms)."""
         return np.vstack([self.placed[(i, j)] for i in self.structure.rows_of[j]])
 
-    def column_norms(self, j: int) -> np.ndarray:
-        """Norms of the global columns of group j."""
-        total = np.zeros(self.col_dims[j])
-        for i in self.structure.rows_of[j]:
-            blk = self.placed[(i, j)]
-            total += np.einsum("ij,ij->j", blk, blk)
-        return np.sqrt(total)
-
 
 def _init_block(b: BlockDef, rng: np.random.Generator) -> np.ndarray:
     if b.form == "conv":
@@ -463,36 +455,6 @@ def gram(frame: GlobalFrame) -> GramStructure:
                          trace=trace, offdiag_count=st.offdiag_count)
 
 
-def chain_gram_closed_form(frame: GlobalFrame) -> dict[tuple[int, int], np.ndarray]:
-    """Closed-form Gram blocks of a normalized chain operator.
-
-    For a chain with diagonal blocks B_j (column magnitudes C_j) and
-    identity couplings, the normalized Gram has
-
-        G_jj     = D_j (B_j^T B_j + I) D_j          (last layer: no +I)
-        G_j,j+1  = -D_j B_{j+1} D_{j+1}
-
-    with D_j = diag(1 / n_j) and n_j the global column norms. Only defined
-    for unnormalized chain frames built from parameters; used as a
-    cross-check of :func:`gram`.
-    """
-    if not frame.spec.is_chain:
-        raise ValueError("closed-form Gram blocks apply to chain frames only")
-    depth = frame.depth
-    out: dict[tuple[int, int], np.ndarray] = {}
-    n = {j: frame.column_norms(j) for j in range(depth)}
-    for j in range(depth):
-        b = frame.placed[(j, j)]
-        inner = b.T @ b
-        if j + 1 < depth:
-            inner = inner + np.eye(inner.shape[0])
-        out[(j, j)] = inner / np.outer(n[j], n[j])
-        if j + 1 < depth:
-            b_next = frame.placed[(j + 1, j + 1)]
-            out[(j, j + 1)] = -b_next / np.outer(n[j], n[j + 1])
-    return out
-
-
 __all__ = [
     "FrameBuildError",
     "FrameStructure",
@@ -502,7 +464,6 @@ __all__ = [
     "NormalizationError",
     "NormalizationState",
     "build_global_frame",
-    "chain_gram_closed_form",
     "conv_gram_nonzeros",
     "conv_matrix_from_entries",
     "conv_operator_entries",

@@ -7,13 +7,21 @@ block coordinate descent on the global objective
 
     1/2 ||x - B_00 w_0||^2
         + sum_{j>=1} 1/2 ||B_jj w_j - sum_{k<j} B_jk^T w_k||^2
-        + sum_j lam_j * sum(w_j),   codes constrained nonnegative.
+        + sum_j lam_j * sum(w_j),   codes constrained nonnegative,
 
-The forward pass and the first block-descent sweep from zero coincide: the
-sweep evaluates each layer's own row at the codes updated so far within
-the sweep, and rows below it at the sweep's starting state. Later sweeps
-use full partial gradients, so with automatic step sizes every recorded
-objective value decreases from the first one on.
+which is 1/2 ||B w - [x; 0; ...; 0]||^2 plus the penalty for the global
+operator B. The forward pass and block descent share one residual core:
+the residual R = B w - [x; 0; ...; 0], one vector per row group, is kept
+current while a sweep takes a prox-linear step on each block in ascending
+order. A block step costs one product with its column block for the
+gradient and one for the residual update, and each cycle's objective is
+read off R.
+
+The first sweep from zero codes reads only each block's own row: the rows
+below it are zero at the sweep's starting state. With unit steps that
+sweep is the forward pass itself. Later sweeps use full partial
+gradients, so with automatic step sizes every recorded objective value
+decreases from the first one on.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,18 +69,20 @@ def largest_sq_singular_value(mat: np.ndarray, tol: float = 1e-13,
     if n == 0:
         return 0.0
     v = np.ones(n) / math.sqrt(n)
+    w = mat.T @ (mat @ v)
     prev = 0.0
     for it in range(max_iters):
-        w = mat.T @ (mat @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             if it == 0:
                 v = np.arange(1.0, n + 1.0)
                 v /= np.linalg.norm(v)
+                w = mat.T @ (mat @ v)
                 continue
             return 0.0
         v = w / norm
-        est = float(v @ (mat.T @ (mat @ v)))
+        w = mat.T @ (mat @ v)
+        est = float(v @ w)
         if abs(est - prev) <= tol * max(est, 1.0):
             return est
         prev = est
@@ -120,14 +130,6 @@ class IstaResult:
     objective_increased: bool = False
 
 
-def _shallow_objective(B: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float) -> float:
-    if np.any(w < 0):
-        return math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = B @ w - x
-        return 0.5 * float(r @ r) + lam * float(np.sum(w))
-
-
 def shallow_ista(x: np.ndarray, B: np.ndarray, lam: float,
                  gamma: float | None = None, iters: int = 100) -> IstaResult:
     """Proximal gradient descent on one nonnegative sparse coding problem.
@@ -146,13 +148,15 @@ def shallow_ista(x: np.ndarray, B: np.ndarray, lam: float,
         raise ValueError(f"input has shape {x.shape}, operator rows {B.shape[0]}")
     step = safe_step(B) if gamma is None else float(gamma)
     w = np.zeros(B.shape[1])
+    r = B @ w - x
     objectives: list[float] = []
     increased = False
-    prev = _shallow_objective(B, x, w, lam)
+    prev = 0.5 * float(r @ r)
     for _ in range(iters):
-        grad = B.T @ (B @ w - x)
-        w = prox_nonneg_soft_threshold(w - step * grad, step * lam)
-        obj = _shallow_objective(B, x, w, lam)
+        w = prox_nonneg_soft_threshold(w - step * (B.T @ r), step * lam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = B @ w - x
+            obj = 0.5 * float(r @ r) + lam * float(np.sum(w))
         if obj > prev:
             increased = True
         objectives.append(obj)
@@ -189,26 +193,35 @@ def _check_input(frame: GlobalFrame, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _upstream_drive(frame: GlobalFrame, j: int, codes: list[np.ndarray],
-                    x: np.ndarray) -> np.ndarray:
-    """The signal row j's diagonal block should reconstruct.
-
-    Row 0 reconstructs the input itself; row j >= 1 reconstructs the
-    accumulated couplings from earlier layers. Shared by the forward pass,
-    the objective, and block descent so they agree bitwise.
-    """
-    if j == 0:
-        return x
-    acc = np.zeros(frame.row_dims[j])
-    for k in frame.structure.cols_of[j]:
-        if k < j:
-            acc -= frame.placed[(j, k)] @ codes[k]
-    return acc
+def _residual(frame: GlobalFrame, codes: list[np.ndarray],
+              x: np.ndarray) -> list[np.ndarray]:
+    """Per row group i, sum_k placed[(i, k)] @ w_k, minus x on row 0."""
+    res = []
+    for i in range(frame.depth):
+        r = -x if i == 0 else np.zeros(frame.row_dims[i])
+        for k in frame.structure.cols_of[i]:
+            r += frame.placed[(i, k)] @ codes[k]
+        res.append(r)
+    return res
 
 
-def _row_residual(frame: GlobalFrame, i: int, codes: list[np.ndarray],
-                  x: np.ndarray) -> np.ndarray:
-    return frame.placed[(i, i)] @ codes[i] - _upstream_drive(frame, i, codes, x)
+def _zero_start(frame: GlobalFrame, x: np.ndarray):
+    """All-zero codes and their residual [-x, 0, ..., 0]."""
+    codes = [np.zeros(d) for d in frame.col_dims]
+    res = [-x] + [np.zeros(d) for d in frame.row_dims[1:]]
+    return codes, res
+
+
+def _objective(res: list[np.ndarray], codes: list[np.ndarray],
+               lams: list[float]) -> float:
+    """The penalty plus 1/2 ||R||^2 for codes known to be nonnegative."""
+    total = 0.0
+    for lam, w in zip(lams, codes):
+        total += lam * float(np.sum(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in res:
+            total += 0.5 * float(r @ r)
+    return total
 
 
 def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
@@ -218,21 +231,37 @@ def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
     lams = _per_layer(lam, frame.depth, "penalty weights")
     if len(codes) != frame.depth:
         raise ValueError(f"expected {frame.depth} code vectors, got {len(codes)}")
-    total = 0.0
+    codes = [np.asarray(w, dtype=np.float64) for w in codes]
     for j, w in enumerate(codes):
-        w = np.asarray(w, dtype=np.float64)
         if w.shape != (frame.col_dims[j],):
             raise ValueError(
                 f"layer {j}: code has shape {w.shape}, expected ({frame.col_dims[j]},)"
             )
         if np.any(w < 0):
             return math.inf
-        total += lams[j] * float(np.sum(w))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(frame.depth):
-            r = _row_residual(frame, i, codes, x)
-            total += 0.5 * float(r @ r)
-    return total
+        res = _residual(frame, codes, x)
+    return _objective(res, codes, lams)
+
+
+def _sweep(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
+           steps: list[float], lams: list[float], own_row_only: bool) -> None:
+    """One prox-linear step per block, ascending, updating codes and res in place.
+
+    Block j's gradient is sum_i placed[(i, j)]^T R_i over its own row alone
+    (``own_row_only``) or over every row group it touches; after the step
+    each of those rows absorbs placed[(i, j)] @ (change in w_j).
+    """
+    rows_of = frame.structure.rows_of
+    for j in range(frame.depth):
+        rows = (j,) if own_row_only else rows_of[j]
+        grad = sum(frame.placed[(i, j)].T @ res[i] for i in rows)
+        new = prox_nonneg_soft_threshold(codes[j] - steps[j] * grad,
+                                         steps[j] * lams[j])
+        delta = new - codes[j]
+        codes[j] = new
+        for i in rows_of[j]:
+            res[i] += frame.placed[(i, j)] @ delta
 
 
 def _sparsity(codes: list[np.ndarray]) -> list[float]:
@@ -245,18 +274,15 @@ def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> InferenceResult:
     Layer by layer, w_j = prox(B_jj^T u_j, lam_j) where u_j collects the
     couplings from already-computed codes (u_0 is the input). On a chain
     this is w_j = prox(B_j^T w_{j-1}); skip structures accumulate their
-    extra couplings into u_j first.
+    extra couplings into u_j first. This is the own-row sweep of
+    :func:`bcd_inference` from zero codes with unit steps, u_j = -R_j.
     """
     start = time.perf_counter()
     x = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
-    codes: list[np.ndarray] = []
-    for j in range(frame.depth):
-        u = _upstream_drive(frame, j, codes, x)
-        t = frame.placed[(j, j)].T @ u
-        codes.append(prox_nonneg_soft_threshold(t, lams[j]))
-    obj = objective_value(codes, frame, x, lams)
-    return InferenceResult(codes=codes, objectives=[obj],
+    codes, res = _zero_start(frame, x)
+    _sweep(frame, codes, res, [1.0] * frame.depth, lams, own_row_only=True)
+    return InferenceResult(codes=codes, objectives=[_objective(res, codes, lams)],
                            sparsity=_sparsity(codes),
                            wall_clock=time.perf_counter() - start,
                            method="feed_forward")
@@ -297,20 +323,18 @@ def block_step_sizes(frame: GlobalFrame) -> list[float]:
 
 
 def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
-                  gamma="auto", momentum: float = 0.0,
+                  gamma="auto",
                   init: Sequence[np.ndarray] | None = None) -> InferenceResult:
     """Block coordinate descent on the global objective.
 
-    Cycles sweep the layers in ascending order. The first sweep evaluates
-    each layer's feedback rows (rows below its own) at the sweep's
-    starting state, which makes a single sweep from zero codes with
-    gamma=1 coincide exactly with :func:`feed_forward`; subsequent sweeps
-    use full partial gradients. ``gamma`` is ``"auto"`` (per-layer steps
-    just under 1/L_j), a scalar, or a per-layer sequence. ``momentum``
-    adds extrapolation against the previous cycle's codes (off by
-    default; monotonicity is only guaranteed without it). ``init``
-    replaces the default all-zero starting codes with per-layer arrays;
-    a custom start uses fresh residuals from the first sweep onward.
+    Cycles sweep the layers in ascending order, keeping the residual
+    current. The first sweep from zero codes reads only each layer's own
+    row (the rows below are zero at the sweep's start), which makes a
+    single sweep with gamma=1 coincide exactly with :func:`feed_forward`;
+    subsequent sweeps use full partial gradients. ``gamma`` is ``"auto"``
+    (per-layer steps just under 1/L_j), a scalar, or a per-layer
+    sequence. ``init`` replaces the default all-zero starting codes with
+    per-layer arrays; a custom start takes full sweeps from the first one.
     """
     start = time.perf_counter()
     x = _check_input(frame, x)
@@ -326,7 +350,7 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
         steps = _per_layer(gamma, depth, "step sizes")
 
     if init is None:
-        codes = [np.zeros(frame.col_dims[j]) for j in range(depth)]
+        codes, res = _zero_start(frame, x)
     else:
         if len(init) != depth:
             raise ValueError(f"expected {depth} initial code blocks, got {len(init)}")
@@ -341,36 +365,15 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
             if np.any(arr < 0):
                 raise ValueError(f"initial codes for layer {j} must be nonnegative")
             codes.append(arr.copy())
-    prev_codes = [c.copy() for c in codes]
-    rows_below = {j: [i for i in frame.structure.rows_of[j] if i > j] for j in range(depth)}
+        res = _residual(frame, codes, x)
     objectives: list[float] = []
-    first_sweep_stale = init is None
 
     for cycle in range(cycles):
-        if cycle == 0 and first_sweep_stale:
-            stale = {i: _row_residual(frame, i, codes, x) for i in range(1, depth)}
-        for j in range(depth):
-            if momentum != 0.0 and cycle > 0:
-                point = [c.copy() for c in codes]
-                point[j] = codes[j] + momentum * (codes[j] - prev_codes[j])
-            else:
-                point = codes
-            grad = frame.placed[(j, j)].T @ _row_residual(frame, j, point, x)
-            for i in rows_below[j]:
-                if cycle == 0 and first_sweep_stale:
-                    r_i = stale[i]
-                else:
-                    r_i = _row_residual(frame, i, point, x)
-                grad += frame.placed[(i, j)].T @ r_i
-            if momentum != 0.0 and cycle > 0:
-                prev_codes[j] = codes[j]
-                base = point[j]
-            else:
-                base = codes[j]
-            codes[j] = prox_nonneg_soft_threshold(base - steps[j] * grad,
-                                                  steps[j] * lams[j])
-        obj = objective_value(codes, frame, x, lams)
-        if not math.isfinite(obj) or any(not np.all(np.isfinite(c)) for c in codes):
+        _sweep(frame, codes, res, steps, lams,
+               own_row_only=cycle == 0 and init is None)
+        # a non-finite code makes the penalty, hence the objective, non-finite
+        obj = _objective(res, codes, lams)
+        if not math.isfinite(obj):
             raise DivergenceError(f"iterates went non-finite at cycle {cycle + 1}")
         objectives.append(obj)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archspec import ArchitectureSpec
-from .framebuild import (FrameBuildError, FrameStructure, NormalizationError,
-                         frame_structure)
+from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, FrameStructure,
+                         GlobalFrame, NormalizationError, frame_structure)
 
 
 class MinimizeError(RuntimeError):
@@ -54,32 +54,40 @@ class MinimizeOptions:
 class MinimizeResult:
     """Outcome of the restarted descent.
 
-    ``objective`` is the best normalized potential found, ``params`` the
-    raw block parameters achieving it. ``trajectories`` holds one
-    (iteration, objective, coherence) list per successful restart, in
-    restart order; ``failed_restarts`` records (seed, reason) pairs for
-    aborted ones. ``offdiag_count`` and ``total_cols`` allow converting
-    the normalized objective back to a raw Gram norm.
+    ``objective`` is the best normalized potential found and ``frame``
+    the raw frame achieving it, built on the structure the descent
+    compiled. ``trajectories`` holds one (iteration, objective,
+    coherence) list per successful restart, in restart order;
+    ``failed_restarts`` records (seed, reason) pairs for aborted ones.
     """
 
     objective: float
     mu: float
-    params: dict[tuple[int, int], np.ndarray]
+    frame: GlobalFrame
     trajectories: list[list[tuple[int, float, float]]]
     iterations: int
     seed: int
-    offdiag_count: int
-    total_cols: int
     failed_restarts: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def params(self) -> dict[tuple[int, int], np.ndarray]:
+        """The raw block parameters of the best frame."""
+        return self.frame.params
 
     @property
     def raw_frame_potential(self) -> float:
         """The un-normalized ||G||_F^2 implied by the objective."""
-        return self.objective * self.offdiag_count + self.total_cols
+        return self.objective * self.frame.structure.offdiag_count + self.frame.shape[1]
 
 
 def _compile(spec: ArchitectureSpec) -> FrameStructure:
     st = frame_structure(spec)
+    rows, cols = st.shape
+    if cols > MATERIALIZE_COL_LIMIT:
+        raise FrameBuildError(
+            f"refusing to minimize a {rows}x{cols} operator (limit "
+            f"{MATERIALIZE_COL_LIMIT} columns): the descent materializes it"
+        )
     if st.offdiag_count == 0:
         raise ValueError(
             "this structure has no off-diagonal Gram entries; orthogonality "
@@ -90,7 +98,7 @@ def _compile(spec: ArchitectureSpec) -> FrameStructure:
 
 def _evaluate(st: FrameStructure, params) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Objective, coherence, normalized matrix, and column norms."""
-    B = st.build(params=params).materialize(max_cols=max(st.shape[1], 1))
+    B = st.build(params=params).materialize()
     norms = np.linalg.norm(B, axis=0)
     if np.any(norms == 0.0):
         raise NormalizationError("zero global column during optimization")
@@ -217,12 +225,10 @@ def minimize_deep_frame_potential(spec: ArchitectureSpec,
     return MinimizeResult(
         objective=obj,
         mu=mu,
-        params=params,
+        frame=st.build(params=params),
         trajectories=trajectories,
         iterations=iters,
         seed=seed,
-        offdiag_count=st.offdiag_count,
-        total_cols=st.shape[1],
         failed_restarts=failures,
     )
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .archspec import ArchitectureSpec, param_count
 from .coherence import CoherenceReport, analyze
-from .framebuild import build_global_frame
 from .minimize import MinimizeOptions, MinimizeResult, minimize_deep_frame_potential
 
 
@@ -60,9 +59,8 @@ def evaluate_candidate(spec: ArchitectureSpec,
     """Minimize one architecture's potential and bundle the diagnostics."""
     opts = MinimizeOptions() if options is None else options
     result = minimize_deep_frame_potential(spec, opts)
-    frame = build_global_frame(spec, params=result.params)
     return Candidate(spec=spec, result=result,
-                     param_count=param_count(spec), report=analyze(frame))
+                     param_count=param_count(spec), report=analyze(result.frame))
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,31 @@ def test_infer_bcd_improves_on_feed_forward(specdir, tmp_path):
         assert a["final_objective"] <= b["final_objective"] + 1e-12
 
 
+def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
+    import deepframe.inference as inference
+
+    spec = tmp_path / "two.json"
+    spec.write_text(json.dumps({
+        "input_dim": 3,
+        "layers": [{"kind": "fully_connected", "width": 5},
+                   {"kind": "fully_connected", "width": 4}],
+        "connectivity": "chain"}))
+    write_csv(tmp_path / "x.csv", np.random.default_rng(5).normal(size=(3, 3)))
+    calls = []
+    real = inference.safe_step
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(inference, "safe_step", counting)
+    out = tmp_path / "bcd.json"
+    assert main(["infer", str(spec), str(tmp_path / "x.csv"), "--method", "bcd",
+                 "--iters", "20", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["results"]) == 3
+    assert len(calls) == 2
+
+
 def test_infer_accepts_binary_container(specdir, tmp_path, capsys):
     write_matrix(tmp_path / "x.mat", np.array([[0.5, -1.0]]))
     assert main(["infer", str(specdir / "tri.json"), str(tmp_path / "x.mat"),

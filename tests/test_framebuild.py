@@ -9,7 +9,6 @@ from deepframe.framebuild import (
     FrameBuildError,
     NormalizationError,
     build_global_frame,
-    chain_gram_closed_form,
     conv_gram_nonzeros,
     conv_operator_entries,
     gram,
@@ -250,6 +249,34 @@ def test_offdiag_count_equals_support_overlap(spec):
     overlap = (support.T @ support) > 0
     expected = int(overlap.sum()) - overlap.shape[0]
     assert gram(normalize(frame)[0]).offdiag_count == expected
+
+
+def chain_gram_closed_form(frame):
+    """Closed-form Gram blocks of a normalized chain operator.
+
+    For a chain with diagonal blocks B_j and identity couplings, the
+    normalized Gram has
+
+        G_jj     = D_j (B_j^T B_j + I) D_j          (last layer: no +I)
+        G_j,j+1  = -D_j B_{j+1} D_{j+1}
+
+    with D_j = diag(1 / n_j) and n_j the global column norms of the
+    unnormalized frame.
+    """
+    depth = frame.depth
+    n = {j: np.sqrt(sum(np.sum(frame.placed[(i, j)] ** 2, axis=0)
+                        for i in frame.structure.rows_of[j]))
+         for j in range(depth)}
+    out = {}
+    for j in range(depth):
+        b = frame.placed[(j, j)]
+        inner = b.T @ b
+        if j + 1 < depth:
+            inner = inner + np.eye(inner.shape[0])
+        out[(j, j)] = inner / np.outer(n[j], n[j])
+        if j + 1 < depth:
+            out[(j, j + 1)] = -frame.placed[(j + 1, j + 1)] / np.outer(n[j], n[j + 1])
+    return out
 
 
 def test_chain_closed_form_agrees():

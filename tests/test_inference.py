@@ -78,6 +78,14 @@ def test_largest_sq_singular_value_matches_svd(rng):
         assert largest_sq_singular_value(mat) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("mat,want", [
+    ([[1.0, -1.0]], 2.0),          # ones vector in the null space
+    ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+])
+def test_largest_sq_singular_value_null_start(mat, want):
+    assert largest_sq_singular_value(np.array(mat)) == pytest.approx(want, rel=1e-12)
+
+
 def test_safe_step_is_below_lipschitz(rng):
     mat = rng.normal(size=(6, 8))
     lip = float(np.linalg.svd(mat, compute_uv=False)[0] ** 2)
@@ -212,6 +220,18 @@ def test_bcd_monotone(rng):
     assert np.all(diffs <= 1e-12)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_bcd_maintained_objective_matches_fresh(warm, rng):
+    # each cycle's objective comes from the updated residual, not a recomputation
+    spec = fc_spec("residual", 5, [8, 6, 8])
+    frame = build_global_frame(spec, seed=12)
+    x = rng.normal(size=5)
+    init = [rng.uniform(0, 1, size=d) for d in frame.col_dims] if warm else None
+    res = bcd_inference(x, frame, 0.05, cycles=500, init=init)
+    fresh = objective_value(res.codes, frame, x, 0.05)
+    assert res.final_objective == pytest.approx(fresh, rel=1e-12)
+
+
 def test_bcd_two_inits_agree(rng):
     spec = fc_spec("chain", 5, [8, 6])
     frame = build_global_frame(spec, seed=10)
@@ -230,15 +250,6 @@ def test_bcd_dominates_feed_forward(rng):
         ff = feed_forward(x, frame, 0.1)
         res = bcd_inference(x, frame, 0.1, cycles=150)
         assert res.final_objective <= ff.final_objective + 1e-12
-
-
-def test_bcd_momentum_still_converges(rng):
-    spec = fc_spec("chain", 4, [6, 5])
-    frame = build_global_frame(spec, seed=5)
-    x = rng.normal(size=4)
-    plain = bcd_inference(x, frame, 0.1, cycles=2000)
-    extra = bcd_inference(x, frame, 0.1, cycles=2000, momentum=0.5)
-    assert extra.final_objective == pytest.approx(plain.final_objective, abs=1e-7)
 
 
 def test_bcd_validates_init():

@@ -179,3 +179,15 @@ def test_structure_compiled_once_per_call(monkeypatch):
         spec, MinimizeOptions(seed=0, restarts=2, max_iters=20))
     assert len(res.trajectories) == 2
     assert len(calls) == 1
+
+
+def test_refuses_operator_wider_than_materialize_limit(monkeypatch):
+    # refused from the geometry alone, before the structural count is taken
+    def no_count(self):
+        raise AssertionError("offdiag_count computed for a refused operator")
+
+    monkeypatch.setattr(framebuild.FrameStructure, "offdiag_count",
+                        property(no_count))
+    spec = fc_spec("chain", 2, [framebuild.MATERIALIZE_COL_LIMIT + 1])
+    with pytest.raises(framebuild.FrameBuildError, match="2x4097 operator"):
+        minimize_deep_frame_potential(spec, MinimizeOptions(restarts=1, max_iters=1))

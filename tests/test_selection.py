@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from deepframe.framebuild import FrameStructure
 from deepframe.minimize import MinimizeOptions
 from deepframe.selection import SelectionError, evaluate_candidate, rank
 
@@ -31,6 +32,21 @@ def test_candidate_carries_consistent_report():
     # the coherence column comes from the minimizing parameters
     assert cand.report.mutual_coherence == pytest.approx(cand.result.mu,
                                                          abs=1e-12)
+
+
+def test_candidate_compiles_one_structure(monkeypatch):
+    # the report reuses the structure (and its structural count) minimize compiled
+    compiled = []
+    real_init = FrameStructure.__init__
+
+    def counting(self, spec):
+        compiled.append(spec)
+        real_init(self, spec)
+
+    monkeypatch.setattr(FrameStructure, "__init__", counting)
+    (cand,) = make_candidates([fc_spec("dense", 3, [5, 4], name="d")])
+    assert len(compiled) == 1
+    assert cand.result.frame.structure.spec is cand.spec
 
 
 def test_identical_specs_tie_break_lexicographically():
