@@ -550,14 +550,14 @@ def block_table(spec: ArchitectureSpec) -> list[BlockDef]:
     return out
 
 
+def blocks_param_count(blocks) -> int:
+    """Learnable scalar count of a block table; identity blocks contribute nothing."""
+    return sum(math.prod(b.shape) for b in blocks if b.role == "learnable")
+
+
 def param_count(spec: ArchitectureSpec) -> int:
-    """Learnable scalar count; identity blocks contribute nothing."""
-    total = 0
-    for b in block_table(spec):
-        if b.role != "learnable":
-            continue
-        total += math.prod(b.shape)
-    return total
+    """Learnable scalar count of ``spec``'s block table."""
+    return blocks_param_count(block_table(spec))
 
 
 __all__ = [

@@ -37,7 +37,6 @@ from .inference import (
     DivergenceError,
     UnsupportedMethodError,
     bcd_inference,
-    block_step_sizes,
     feed_forward,
     layered_basis_pursuit,
 )
@@ -208,7 +207,7 @@ def cmd_minimize(args) -> int:
         "iterations": result.iterations,
         "winning_seed": result.seed,
         "failed_restarts": [list(t) for t in result.failed_restarts],
-        "param_count": param_count(spec),
+        "param_count": result.frame.structure.param_count,
         "params": _params_jsonable(result.params),
     }
     _emit_json(payload, args.out)
@@ -241,9 +240,6 @@ def cmd_infer(args) -> int:
     else:
         frame = build_global_frame(spec, seed=args.seed)
     signals = load_signals(args.inputs, spec.input_dim)
-    if args.method == "bcd":
-        # the automatic steps depend on the frame alone: estimate them once
-        gamma = block_step_sizes(frame) if args.gamma is None else args.gamma
     records = []
     for x in signals:
         if args.method == "feed_forward":
@@ -252,7 +248,7 @@ def cmd_infer(args) -> int:
             res = layered_basis_pursuit(x, frame, args.penalty, budget=args.iters)
         else:
             res = bcd_inference(x, frame, args.penalty, cycles=args.iters,
-                                gamma=gamma)
+                                gamma="auto" if args.gamma is None else args.gamma)
         records.append({
             "final_objective": res.final_objective,
             "objectives": res.objectives,

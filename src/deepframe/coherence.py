@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .archspec import ArchitectureSpec, param_count
 from .framebuild import GlobalFrame, GramStructure, gram, normalize
 
 
@@ -68,7 +67,6 @@ def mutual_coherence(frame) -> float:
     for (j, k), blk in g.blocks.items():
         a = np.abs(blk)
         if j == k:
-            a = a.copy()
             np.fill_diagonal(a, 0.0)
         if a.size:
             peaks.append(a.max())
@@ -295,7 +293,7 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
         name=spec.name,
         rows=rows,
         cols=cols,
-        param_count=param_count(spec),
+        param_count=frame.structure.param_count,
         frame_potential=fp,
         trace=g.trace,
         offdiag_count=g.offdiag_count,

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .archspec import ArchitectureSpec, BlockDef, LayerSpec, block_table
+from .archspec import (ArchitectureSpec, BlockDef, LayerSpec, block_table,
+                       blocks_param_count)
 
 MATERIALIZE_COL_LIMIT = 4096
 
@@ -47,49 +48,42 @@ def conv_operator_entries(channels: int, filters: int, spatial: int,
     The matrix has shape (channels * spatial**ndim, filters * q**ndim) with
     q = ceil(spatial / stride), and entry (rows[i], cols[i]) equals
     filter_bank.flat[taps[i]]. Window positions falling outside the grid
-    are dropped (zero padding). Results are cached per geometry and shared;
-    callers must not modify the returned arrays.
+    are dropped (zero padding). Entries are ordered by filter, then output
+    position, then channel, then tap (row-major over every grid axis), so
+    reductions over ``taps`` sum in a fixed order. Results are cached per
+    geometry and shared; callers must not modify the returned arrays.
     """
+    if ndim not in (1, 2):
+        raise ValueError(f"ndim must be 1 or 2, got {ndim}")
     p, f, s = spatial, filter_size, stride
     q = -(-p // s)
     pad = (f - 1) // 2
-    rows, cols, taps = [], [], []
-    if ndim == 1:
-        for c in range(filters):
-            for t in range(q):
-                col = c * q + t
-                base = t * s - pad
-                for ch in range(channels):
-                    for fx in range(f):
-                        x = base + fx
-                        if 0 <= x < p:
-                            rows.append(ch * p + x)
-                            cols.append(col)
-                            taps.append((c * channels + ch) * f + fx)
-    elif ndim == 2:
-        for c in range(filters):
-            for ty in range(q):
-                for tx in range(q):
-                    col = (c * q + ty) * q + tx
-                    by = ty * s - pad
-                    bx = tx * s - pad
-                    for ch in range(channels):
-                        for fy in range(f):
-                            y = by + fy
-                            if not 0 <= y < p:
-                                continue
-                            for fx in range(f):
-                                x = bx + fx
-                                if 0 <= x < p:
-                                    rows.append((ch * p + y) * p + x)
-                                    cols.append(col)
-                                    taps.append(((c * channels + ch) * f + fy) * f + fx)
-    else:
-        raise ValueError(f"ndim must be 1 or 2, got {ndim}")
+    # broadcast grid over (filter, position..., channel, tap...)
+    n_axes = 2 + 2 * ndim
+
+    def axis(length: int, k: int) -> np.ndarray:
+        shape = [1] * n_axes
+        shape[k] = length
+        return np.arange(length, dtype=np.intp).reshape(shape)
+
+    pos = [axis(q, 1 + d) for d in range(ndim)]
+    tap = [axis(f, 2 + ndim + d) for d in range(ndim)]
+    coord = [t * s - pad + u for t, u in zip(pos, tap)]
+    rows = axis(channels, 1 + ndim)
+    cols = axis(filters, 0)
+    taps = cols * channels + rows
+    inside = True
+    for t, u, x in zip(pos, tap, coord):
+        rows = rows * p + x
+        cols = cols * q + t
+        taps = taps * f + u
+        inside = inside & (x >= 0) & (x < p)
+    grid = np.broadcast_shapes(rows.shape, cols.shape, taps.shape)
+    inside = np.broadcast_to(inside, grid)
     shape = (channels * p ** ndim, filters * q ** ndim)
-    return (np.asarray(rows, dtype=np.intp),
-            np.asarray(cols, dtype=np.intp),
-            np.asarray(taps, dtype=np.intp),
+    return (np.broadcast_to(rows, grid)[inside],
+            np.broadcast_to(cols, grid)[inside],
+            np.broadcast_to(taps, grid)[inside],
             shape)
 
 
@@ -149,8 +143,9 @@ class FrameStructure:
 
     Holds the block table, the row/column offsets of every group, the row
     groups of each column group (``rows_of``) and the column groups of
-    each row group (``cols_of``), the convolution index maps of the
-    learnable conv blocks, and, per Gram block pair (j, k) with j <= k,
+    each row group (``cols_of``), the positions of the identity-role
+    blocks (``identity``), the convolution index maps of the learnable
+    conv blocks, and, per Gram block pair (j, k) with j <= k,
     the row groups both column groups touch (``shared``; pairs sharing
     none are absent). Parameter values only fill it in: see :meth:`build`.
     """
@@ -159,6 +154,8 @@ class FrameStructure:
         self.spec = spec
         self.blocks = tuple(block_table(spec))
         self.learnable = tuple(b for b in self.blocks if b.role == "learnable")
+        self.identity = frozenset((b.row, b.col) for b in self.blocks
+                                  if b.role == "identity")
         self.row_dims = spec.row_dims
         self.col_dims = spec.col_dims
         self.row_off = tuple(accumulate(self.row_dims, initial=0))
@@ -186,6 +183,11 @@ class FrameStructure:
     def shape(self) -> tuple[int, int]:
         return (self.row_off[-1], self.col_off[-1])
 
+    @property
+    def param_count(self) -> int:
+        """Learnable scalar count, read off the compiled block table."""
+        return blocks_param_count(self.blocks)
+
     def placed_block(self, b: BlockDef, stored: np.ndarray) -> np.ndarray:
         """Turn a stored parameter array into the signed global submatrix."""
         if b.form == "conv":
@@ -197,27 +199,50 @@ class FrameStructure:
         """Structurally nonzero off-diagonal entries of the Gram matrix.
 
         Counts ordered column pairs whose placed supports overlap; values
-        play no part. Computed on first use, since it costs a product of
-        0/1 patterns per shared block pair.
+        play no part. Per shared row group, the overlap pattern is a
+        product of the two blocks' class supports (see
+        :meth:`_column_classes`) expanded to columns by indexing; identity
+        blocks need no product. The patterns of all shared row groups of a
+        Gram block pair are OR-ed together. Computed on first use.
         """
-        support = {}
-        for b in self.blocks:
-            if b.role == "identity":
-                support[(b.row, b.col)] = np.eye(b.placed_shape[0])
-            elif b.form == "conv":
-                support[(b.row, b.col)] = np.abs(self.placed_block(b, np.ones(b.shape)))
-            else:
-                support[(b.row, b.col)] = np.ones(b.placed_shape)
+        classes = {(b.row, b.col): self._column_classes(b) for b in self.blocks}
         count = 0
         for (j, k), rows in self.shared.items():
             pattern = np.zeros((self.col_dims[j], self.col_dims[k]), dtype=bool)
             for i in rows:
-                pattern |= (support[(i, j)].T @ support[(i, k)]) > 0
+                pattern |= _overlap(classes[(i, j)], classes[(i, k)], self.row_dims[i])
             if j == k:
-                count += int(pattern.sum()) - int(np.diagonal(pattern).sum())
+                count += np.count_nonzero(pattern) - np.count_nonzero(np.diagonal(pattern))
             else:
-                count += 2 * int(pattern.sum())
-        return count
+                count += 2 * np.count_nonzero(pattern)
+        return int(count)
+
+    def _column_classes(self, b: BlockDef) -> tuple[np.ndarray, np.ndarray] | None:
+        """The distinct column supports of a placed block.
+
+        Returns (classes, support) such that column c of the placed block
+        touches exactly the rows where ``support[classes[c]]`` is True, or
+        None for an identity block (every column its own class, touching
+        its own row). A dense block has one class. A diagonal conv block's
+        class is the output position ``c % q**ndim``, since every filter at
+        one position touches the same rows; an off-diagonal conv block
+        (placed as -stored.T) has a (channel, pixel) per column and its
+        class is the pixel ``c % p**ndim``.
+        """
+        if b.role == "identity":
+            return None
+        n_rows, n_cols = b.placed_shape
+        if b.form == "dense":
+            return np.zeros(n_cols, dtype=np.intp), np.ones((1, n_rows), dtype=bool)
+        rows, cols, _, _ = self.conv_entries[(b.row, b.col)]
+        if b.is_diagonal:
+            n_classes = n_cols // b.conv["filters"]
+        else:
+            n_classes = n_cols // b.conv["channels"]
+            rows, cols = cols, rows
+        support = np.zeros((n_classes, n_rows), dtype=bool)
+        support[cols % n_classes, rows] = True
+        return np.arange(n_cols, dtype=np.intp) % n_classes, support
 
     def build(self, params: dict[tuple[int, int], np.ndarray] | None = None,
               seed: int | None = None) -> GlobalFrame:
@@ -267,6 +292,23 @@ class FrameStructure:
         return GlobalFrame(structure=self, params=params, placed=placed)
 
 
+def _overlap(a, b, n: int) -> np.ndarray:
+    """Column-pair overlap pattern of two placed blocks on one n-row group.
+
+    ``a`` and ``b`` are :meth:`FrameStructure._column_classes` results.
+    """
+    if a is None and b is None:
+        return np.eye(n, dtype=bool)
+    if a is None:
+        classes, support = b
+        return support[classes].T
+    if b is None:
+        classes, support = a
+        return support[classes]
+    (classes_a, support_a), (classes_b, support_b) = a, b
+    return (support_a @ support_b.T)[classes_a][:, classes_b]
+
+
 def frame_structure(spec: ArchitectureSpec) -> FrameStructure:
     """Compile a spec's block geometry once; values are filled in by ``build``."""
     return FrameStructure(spec)
@@ -281,13 +323,18 @@ class GlobalFrame:
     parameter arrays; ``placed`` maps every structural block position to
     the actual (signed) dense submatrix of the operator. ``normalized``
     marks frames produced by :func:`normalize`, whose placed columns have
-    unit norm and whose ``params`` are empty.
+    unit norm and whose ``params`` are empty. ``step_sizes`` is a
+    cache, not a constructor argument: :mod:`deepframe.inference` fills
+    it with the safe per-layer step sizes of the placed values, so placed
+    values must not change once steps have been taken from it.
     """
 
     structure: FrameStructure
     params: dict[tuple[int, int], np.ndarray]
     placed: dict[tuple[int, int], np.ndarray]
     normalized: bool = False
+    step_sizes: dict[str, tuple[float, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def spec(self) -> ArchitectureSpec:
@@ -440,14 +487,27 @@ class GramStructure:
 
 
 def gram(frame: GlobalFrame) -> GramStructure:
-    """G = B^T B computed block-pair-wise, without materializing B."""
+    """G = B^T B computed block-pair-wise, without materializing B.
+
+    Identity-role blocks are diagonal (+-I, scaled by column norms after
+    :func:`normalize`), so their products are row or column scalings.
+    """
     st = frame.structure
     blocks: dict[tuple[int, int], np.ndarray] = {}
     trace = 0.0
     for (j, k), rows in st.shared.items():
         acc = np.zeros((st.col_dims[j], st.col_dims[k]))
         for i in rows:
-            acc += frame.placed[(i, j)].T @ frame.placed[(i, k)]
+            a, b = frame.placed[(i, j)], frame.placed[(i, k)]
+            if (i, j) in st.identity and (i, k) in st.identity:
+                # a strided view of acc's diagonal (acc is square here)
+                acc.reshape(-1)[::acc.shape[1] + 1] += np.diagonal(a) * np.diagonal(b)
+            elif (i, j) in st.identity:
+                acc += np.diagonal(a)[:, None] * b
+            elif (i, k) in st.identity:
+                acc += a.T * np.diagonal(b)
+            else:
+                acc += a.T @ b
         blocks[(j, k)] = acc
         if j == k:
             trace += float(np.trace(acc))

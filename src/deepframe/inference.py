@@ -294,7 +294,8 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
 
     Layer j's codes solve the shallow problem with the previous layer's
     codes as the target signal, using :func:`shallow_ista` for ``budget``
-    iterations. Only defined for chain connectivity.
+    iterations at a step just under 1/L of the layer's diagonal block
+    (computed once per frame). Only defined for chain connectivity.
     """
     start = time.perf_counter()
     if not frame.spec.is_chain:
@@ -304,10 +305,12 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
         )
     x = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
+    steps = _cached_steps(frame, "diagonal", lambda j: frame.placed[(j, j)])
     codes: list[np.ndarray] = []
     target = x
     for j in range(frame.depth):
-        res = shallow_ista(target, frame.placed[(j, j)], lams[j], iters=budget)
+        res = shallow_ista(target, frame.placed[(j, j)], lams[j], gamma=steps[j],
+                           iters=budget)
         codes.append(res.codes)
         target = res.codes
     obj = objective_value(codes, frame, x, lams)
@@ -317,9 +320,21 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
                            method="layered_bp")
 
 
-def block_step_sizes(frame: GlobalFrame) -> list[float]:
-    """Automatic per-layer steps, just under 1/L_j of each column block."""
-    return [safe_step(frame.column_block(j)) for j in range(frame.depth)]
+def _cached_steps(frame: GlobalFrame, kind: str, operator) -> tuple[float, ...]:
+    """Per-layer :func:`safe_step` of ``operator(j)``, computed once per frame."""
+    steps = frame.step_sizes.get(kind)
+    if steps is None:
+        steps = tuple(safe_step(operator(j)) for j in range(frame.depth))
+        frame.step_sizes[kind] = steps
+    return steps
+
+
+def block_step_sizes(frame: GlobalFrame) -> tuple[float, ...]:
+    """Automatic per-layer steps, just under 1/L_j of each column block.
+
+    Computed once per frame and reused by later calls.
+    """
+    return _cached_steps(frame, "column", frame.column_block)
 
 
 def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,

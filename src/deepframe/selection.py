@@ -60,7 +60,8 @@ def evaluate_candidate(spec: ArchitectureSpec,
     opts = MinimizeOptions() if options is None else options
     result = minimize_deep_frame_potential(spec, opts)
     return Candidate(spec=spec, result=result,
-                     param_count=param_count(spec), report=analyze(result.frame))
+                     param_count=result.frame.structure.param_count,
+                     report=analyze(result.frame))
 
 
 @dataclass(frozen=True)

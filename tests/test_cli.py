@@ -198,7 +198,8 @@ def test_infer_bcd_improves_on_feed_forward(specdir, tmp_path):
         assert a["final_objective"] <= b["final_objective"] + 1e-12
 
 
-def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
+def run_counting_safe_step(tmp_path, monkeypatch, method, n_signals):
+    """Run infer on a depth-2 chain; return its results and safe_step shapes."""
     import deepframe.inference as inference
 
     spec = tmp_path / "two.json"
@@ -207,7 +208,8 @@ def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
         "layers": [{"kind": "fully_connected", "width": 5},
                    {"kind": "fully_connected", "width": 4}],
         "connectivity": "chain"}))
-    write_csv(tmp_path / "x.csv", np.random.default_rng(5).normal(size=(3, 3)))
+    write_csv(tmp_path / "x.csv",
+              np.random.default_rng(5).normal(size=(n_signals, 3)))
     calls = []
     real = inference.safe_step
 
@@ -216,11 +218,23 @@ def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(inference, "safe_step", counting)
-    out = tmp_path / "bcd.json"
-    assert main(["infer", str(spec), str(tmp_path / "x.csv"), "--method", "bcd",
+    out = tmp_path / "out.json"
+    assert main(["infer", str(spec), str(tmp_path / "x.csv"), "--method", method,
                  "--iters", "20", "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["results"]) == 3
+    return json.loads(out.read_text())["results"], calls
+
+
+def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
+    results, calls = run_counting_safe_step(tmp_path, monkeypatch, "bcd", 3)
+    assert len(results) == 3
     assert len(calls) == 2
+
+
+def test_infer_layered_bp_estimates_steps_once_per_frame(tmp_path, monkeypatch):
+    # one step per diagonal block, shared by every signal
+    results, calls = run_counting_safe_step(tmp_path, monkeypatch, "layered_bp", 4)
+    assert len(results) == 4
+    assert calls == [(3, 5), (5, 4)]
 
 
 def test_infer_accepts_binary_container(specdir, tmp_path, capsys):

@@ -53,6 +53,71 @@ def naive_conv_apply(bank, signal, spatial, stride, ndim):
     return out.reshape(-1)
 
 
+def loop_conv_entries(channels, filters, spatial, filter_size, stride, ndim):
+    """Reference index triplets of the conv matrix, one window at a time."""
+    p, f, s = spatial, filter_size, stride
+    q = -(-p // s)
+    pad = (f - 1) // 2
+    rows, cols, taps = [], [], []
+    if ndim == 1:
+        for c in range(filters):
+            for t in range(q):
+                col = c * q + t
+                base = t * s - pad
+                for ch in range(channels):
+                    for fx in range(f):
+                        x = base + fx
+                        if 0 <= x < p:
+                            rows.append(ch * p + x)
+                            cols.append(col)
+                            taps.append((c * channels + ch) * f + fx)
+    else:
+        for c in range(filters):
+            for ty in range(q):
+                for tx in range(q):
+                    col = (c * q + ty) * q + tx
+                    by = ty * s - pad
+                    bx = tx * s - pad
+                    for ch in range(channels):
+                        for fy in range(f):
+                            y = by + fy
+                            if not 0 <= y < p:
+                                continue
+                            for fx in range(f):
+                                x = bx + fx
+                                if 0 <= x < p:
+                                    rows.append((ch * p + y) * p + x)
+                                    cols.append(col)
+                                    taps.append(((c * channels + ch) * f + fy) * f + fx)
+    shape = (channels * p ** ndim, filters * q ** ndim)
+    return (np.asarray(rows, dtype=np.intp),
+            np.asarray(cols, dtype=np.intp),
+            np.asarray(taps, dtype=np.intp),
+            shape)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_conv_entries_match_loop_nest(ndim, stride, f):
+    # same entries in the same order and dtype, so reductions over taps agree
+    for channels in (1, 2, 3):
+        for filters in (1, 2, 3):
+            for spatial in (1, 4, 5):
+                args = (channels, filters, spatial, f, stride, ndim)
+                got = conv_operator_entries(*args)
+                want = loop_conv_entries(*args)
+                assert got[3] == want[3]
+                for a, b in zip(got[:3], want[:3]):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a, b), args
+
+
+def test_conv_entries_reject_bad_ndim():
+    with pytest.raises(ValueError, match="ndim"):
+        conv_operator_entries(1, 1, 4, 3, 1, 3)
+
+
 @pytest.mark.parametrize("ndim,channels,filters,spatial,f,stride", [
     (1, 1, 2, 5, 3, 1),
     (1, 2, 3, 6, 3, 2),
@@ -240,8 +305,12 @@ def test_gram_trace_and_counts():
     conv_spec("chain", 2, 5, [3], stride=2),
     conv_spec("residual", 1, 6, [2, 3, 2], ndim=1),
     conv_spec("dense", 1, 4, [2, 2, 2]),
+    conv_spec("chain", 2, 6, [4], filt=4, stride=2),
+    conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
+    conv_spec("dense", 2, 4, [2, 2, 2]),
 ], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv-stride2",
-        "conv1d-residual", "conv-dense"])
+        "conv1d-residual", "conv-dense", "conv-stride2-f4", "conv1d-residual-2ch",
+        "conv-dense-2ch"])
 def test_offdiag_count_equals_support_overlap(spec):
     # the structural count is the overlap count of the materialized supports
     frame = build_global_frame(spec, seed=3)
@@ -249,6 +318,32 @@ def test_offdiag_count_equals_support_overlap(spec):
     overlap = (support.T @ support) > 0
     expected = int(overlap.sum()) - overlap.shape[0]
     assert gram(normalize(frame)[0]).offdiag_count == expected
+
+
+@pytest.mark.parametrize("spec", [
+    fc_spec("chain", 4, [7, 5, 6]),
+    fc_spec("residual", 4, [7, 5, 7]),
+    fc_spec("dense", 4, [7, 5, 6]),
+    conv_spec("chain", 2, 4, [3, 2]),
+    conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
+    conv_spec("dense", 2, 4, [2, 2, 2]),
+], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv1d-residual",
+        "conv-dense"])
+def test_gram_blocks_equal_dense_slices(spec):
+    # identity couplings enter as diagonal scalings; every block still
+    # equals its slice of the dense product, and absent pairs are zero
+    unit, _ = normalize(build_global_frame(spec, seed=5))
+    Bn = unit.materialize()
+    dense = Bn.T @ Bn
+    off = unit.structure.col_off
+    blocks = gram(unit).blocks
+    for j in range(spec.depth):
+        for k in range(j, spec.depth):
+            want = dense[off[j]:off[j + 1], off[k]:off[k + 1]]
+            if (j, k) in blocks:
+                np.testing.assert_allclose(blocks[(j, k)], want, rtol=0, atol=1e-14)
+            else:
+                assert not np.any(want)
 
 
 def chain_gram_closed_form(frame):

@@ -49,6 +49,25 @@ def test_candidate_compiles_one_structure(monkeypatch):
     assert cand.result.frame.structure.spec is cand.spec
 
 
+def test_candidate_builds_one_block_table(monkeypatch):
+    # the parameter counts are read off the compiled structure
+    import deepframe.archspec as archspec
+    import deepframe.framebuild as framebuild
+
+    calls = []
+    real = archspec.block_table
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(archspec, "block_table", counting)
+    monkeypatch.setattr(framebuild, "block_table", counting)
+    (cand,) = make_candidates([fc_spec("residual", 3, [5, 4, 5], name="r")])
+    assert len(calls) == 1
+    assert cand.param_count == cand.report.param_count == archspec.param_count(cand.spec)
+
+
 def test_identical_specs_tie_break_lexicographically():
     specs = [fc_spec("chain", 2, [3], name=n) for n in ("zeta", "alpha")]
     report = rank(make_candidates(specs))
