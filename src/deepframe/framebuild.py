@@ -188,12 +188,6 @@ class FrameStructure:
         """Learnable scalar count, read off the compiled block table."""
         return blocks_param_count(self.blocks)
 
-    def placed_block(self, b: BlockDef, stored: np.ndarray) -> np.ndarray:
-        """Turn a stored parameter array into the signed global submatrix."""
-        if b.form == "conv":
-            stored = conv_matrix_from_entries(self.conv_entries[(b.row, b.col)], stored)
-        return stored if b.is_diagonal else -stored.T
-
     @functools.cached_property
     def offdiag_count(self) -> int:
         """Structurally nonzero off-diagonal entries of the Gram matrix.
@@ -281,15 +275,20 @@ class FrameStructure:
                 eye = np.eye(b.placed_shape[0])
                 placed[key] = eye if b.is_diagonal else -eye
                 continue
-            placed[key] = self.placed_block(b, params[key])
+            stored = params[key]
+            if b.form == "conv":
+                stored = conv_matrix_from_entries(self.conv_entries[key], stored)
+            placed[key] = stored if b.is_diagonal else -stored.T
             if b.is_diagonal:
-                dead = np.nonzero(np.linalg.norm(placed[key], axis=0) == 0.0)[0]
-                if dead.size:
-                    raise FrameBuildError(
-                        f"diagonal block ({b.row}, {b.col}) has zero columns at "
-                        f"{dead.tolist()}"
-                    )
+                refuse_dead_columns(key, placed[key])
         return GlobalFrame(structure=self, params=params, placed=placed)
+
+
+def refuse_dead_columns(key: tuple[int, int], placed: np.ndarray) -> None:
+    """Raise FrameBuildError if the diagonal block at ``key`` has a zero column."""
+    dead = np.nonzero(np.linalg.norm(placed, axis=0) == 0.0)[0]
+    if dead.size:
+        raise FrameBuildError(f"diagonal block {key} has zero columns at {dead.tolist()}")
 
 
 def _overlap(a, b, n: int) -> np.ndarray:

@@ -8,12 +8,13 @@ are re-normalized inside every evaluation, so the objective is invariant
 to per-column rescaling of the raw parameters and no manifold machinery
 is needed.
 
-The gradient threads through the normalization analytically: with E the
-off-diagonal part of the normalized Gram matrix, the derivative with
-respect to the normalized operator is 4*B_n*E / count, each column is then
-projected onto the tangent of its unit sphere and divided by its raw norm,
-and the resulting global-matrix gradient is scattered back into dense
-blocks (transposed and negated for couplings) and convolution filter taps.
+The descent runs on one flat vector theta of the learnable entries, which a
+map compiled once per call scatters into the dense operator. The gradient
+threads through the normalization analytically: with E the off-diagonal part
+of the normalized Gram matrix, the derivative with respect to the normalized
+operator is 4*B_n*E / count; each column is then projected onto the tangent
+of its unit sphere and divided by its raw norm, and the map's adjoint (one
+``np.bincount``) pulls that back to theta.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archspec import ArchitectureSpec
-from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, FrameStructure,
-                         GlobalFrame, NormalizationError, frame_structure)
+from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, GlobalFrame,
+                         NormalizationError, frame_structure, refuse_dead_columns)
 
 
 class MinimizeError(RuntimeError):
@@ -46,8 +47,19 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.max_iters < 1 or self.tol_window < 1 or self.restarts < 1:
             raise ValueError("iteration counts and restarts must be positive")
-        if self.step <= 0 or self.tol <= 0:
-            raise ValueError("step and tolerance must be positive")
+        if not (0 < self.step < math.inf and 0 < self.tol < math.inf):
+            raise ValueError("step and tolerance must be positive and finite")
+
+
+@dataclass(frozen=True)
+class RestartRecord:
+    """How one restart ended. ``stop`` is "zero_gradient", "step_underflow" (step
+    below 1e-18), "tolerance" or "max_iters"; evaluations = accepted + backtracks + 1."""
+
+    seed: int
+    stop: str
+    evaluations: int
+    backtracks: int
 
 
 @dataclass
@@ -57,8 +69,9 @@ class MinimizeResult:
     ``objective`` is the best normalized potential found and ``frame``
     the raw frame achieving it, built on the structure the descent
     compiled. ``trajectories`` holds one (iteration, objective,
-    coherence) list per successful restart, in restart order;
-    ``failed_restarts`` records (seed, reason) pairs for aborted ones.
+    coherence) list and ``restarts`` one :class:`RestartRecord` per
+    successful restart, in restart order; ``failed_restarts`` records
+    (seed, reason) pairs for aborted ones.
     """
 
     objective: float
@@ -67,6 +80,7 @@ class MinimizeResult:
     trajectories: list[list[tuple[int, float, float]]]
     iterations: int
     seed: int
+    restarts: list[RestartRecord] = field(default_factory=list)
     failed_restarts: list[tuple[int, str]] = field(default_factory=list)
 
     @property
@@ -80,61 +94,104 @@ class MinimizeResult:
         return self.objective * self.frame.structure.offdiag_count + self.frame.shape[1]
 
 
-def _compile(spec: ArchitectureSpec) -> FrameStructure:
-    st = frame_structure(spec)
-    rows, cols = st.shape
-    if cols > MATERIALIZE_COL_LIMIT:
-        raise FrameBuildError(
-            f"refusing to minimize a {rows}x{cols} operator (limit "
-            f"{MATERIALIZE_COL_LIMIT} columns): the descent materializes it"
-        )
-    if st.offdiag_count == 0:
-        raise ValueError(
-            "this structure has no off-diagonal Gram entries; orthogonality "
-            "is attainable and there is nothing to minimize"
-        )
-    return st
+class _FlatMap:
+    """The scatter map from theta to the placed entries of the operator.
+
+    theta holds the learnable blocks in block-table order, each row-major:
+    a conv filter bank, or a dense block's placed matrix (an off-diagonal
+    one is held transposed, so per-block sums run in the memory order of
+    its parameter array). Entry e, ``sign[e] * theta[source[e]]``, goes to
+    global flat ``index[e]``; identity couplings are constant entries.
+    """
+
+    def __init__(self, spec: ArchitectureSpec):
+        st = self.st = frame_structure(spec)
+        width = st.shape[1]
+        if width > MATERIALIZE_COL_LIMIT:
+            raise FrameBuildError(
+                f"refusing to minimize a {st.shape[0]}x{width} operator (limit "
+                f"{MATERIALIZE_COL_LIMIT} columns): the descent materializes it")
+        if st.offdiag_count == 0:
+            raise ValueError("this structure has no off-diagonal Gram entries; orthogonality "
+                             "is attainable and there is nothing to minimize")
+        entries, consts = [], [(np.zeros(0, np.intp), np.zeros(0))]
+        self.segments, self.diagonal, start = [], [], 0
+        for b in st.blocks:
+            key, r0, c0 = (b.row, b.col), st.row_off[b.row], st.col_off[b.col]
+            n_rows, n_cols = b.placed_shape
+            sign = 1.0 if b.is_diagonal else -1.0
+            if b.role == "identity":
+                eye = np.arange(n_rows)
+                consts.append(((r0 + eye) * width + c0 + eye, np.full(n_rows, sign)))
+                continue
+            if b.form == "conv":
+                rows, cols, src, _ = st.conv_entries[key]
+                if not b.is_diagonal:
+                    rows, cols = cols, rows
+            else:
+                src = np.arange(n_rows * n_cols)
+                rows, cols = np.divmod(src, n_cols)
+            entries.append(((r0 + rows) * width + c0 + cols, start + src,
+                            np.full(src.size, sign)))
+            self.segments.append((b, start, start + math.prod(b.shape)))
+            start = self.segments[-1][2]
+            if b.is_diagonal:
+                self.diagonal.append((key, slice(r0, r0 + n_rows), slice(c0, c0 + n_cols)))
+        self.size = start
+        self.index, self.source, self.sign = map(np.concatenate, zip(*entries))
+        self.const_index, self.const_value = map(np.concatenate, zip(*consts))
+
+    def flatten(self, params) -> np.ndarray:
+        theta = np.empty(self.size)
+        for key, view in self.unflatten(theta).items():
+            view[...] = params[key]
+        return theta
+
+    def unflatten(self, theta: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        """Per-block views of theta in stored orientation."""
+        return {(b.row, b.col): theta[lo:hi].reshape(b.placed_shape).T
+                if b.form == "dense" and not b.is_diagonal else theta[lo:hi].reshape(b.shape)
+                for b, lo, hi in self.segments}
+
+    def sq_norm(self, g: np.ndarray) -> float:
+        """||g||^2 summed block by block, in the order of the parameter arrays."""
+        return sum(float(np.sum(g[lo:hi] * g[lo:hi])) for _, lo, hi in self.segments)
+
+    def matrix(self, theta: np.ndarray) -> np.ndarray:
+        """The dense operator at theta; refuses dead columns as ``build`` does."""
+        B = np.zeros(self.st.shape)
+        flat = B.reshape(-1)
+        flat[self.const_index] = self.const_value
+        flat[self.index] = self.sign * theta[self.source]
+        for key, rows, cols in self.diagonal:
+            refuse_dead_columns(key, B[rows, cols])
+        return B
+
+    def adjoint(self, G: np.ndarray) -> np.ndarray:
+        """The map's adjoint: each placed entry of G, signed, summed into theta."""
+        return np.bincount(self.source, weights=self.sign * G.reshape(-1)[self.index],
+                           minlength=self.size)
 
 
-def _evaluate(st: FrameStructure, params) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Objective, coherence, normalized matrix, and column norms."""
-    B = st.build(params=params).materialize()
+def _evaluate(fm: _FlatMap, theta: np.ndarray):
+    """Objective, coherence and the descent state (Bn, norms, E) at theta."""
+    B = fm.matrix(theta)
     norms = np.linalg.norm(B, axis=0)
     if np.any(norms == 0.0):
         raise NormalizationError("zero global column during optimization")
-    Bn = B / norms
-    E = Bn.T @ Bn
+    B /= norms
+    E = B.T @ B
     np.fill_diagonal(E, 0.0)
-    obj = float(np.sum(E * E)) / st.offdiag_count
+    obj = float(np.sum(E * E)) / fm.st.offdiag_count
     mu = float(np.max(np.abs(E))) if E.size else 0.0
-    return obj, mu, Bn, norms
+    return obj, mu, (B, norms, E)
 
 
-def _gradient_from_state(st: FrameStructure, Bn: np.ndarray, norms: np.ndarray):
-    E = Bn.T @ Bn
-    np.fill_diagonal(E, 0.0)
-    gt = (4.0 / st.offdiag_count) * (Bn @ E)
+def _gradient(fm: _FlatMap, Bn: np.ndarray, norms: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The gradient in theta: the map's adjoint of the global-matrix gradient."""
+    gt = (4.0 / fm.st.offdiag_count) * (Bn @ E)
     radial = np.einsum("ij,ij->j", Bn, gt)
-    gb = (gt - Bn * radial) / norms
-    grads: dict[tuple[int, int], np.ndarray] = {}
-    for b in st.learnable:
-        key = (b.row, b.col)
-        sub = gb[st.row_off[b.row]:st.row_off[b.row + 1],
-                 st.col_off[b.col]:st.col_off[b.col + 1]]
-        if b.form == "conv":
-            rows, cols, taps, _ = st.conv_entries[key]
-            if b.is_diagonal:
-                weights = sub[rows, cols]
-            else:
-                weights = -sub[cols, rows]
-            flat = np.bincount(taps, weights=weights,
-                               minlength=int(np.prod(b.shape)))
-            grads[key] = flat.reshape(b.shape)
-        elif b.is_diagonal:
-            grads[key] = sub.copy()
-        else:
-            grads[key] = -sub.T
-    return grads
+    return fm.adjoint((gt - Bn * radial) / norms)
 
 
 def potential_gradient(params: dict[tuple[int, int], np.ndarray],
@@ -144,54 +201,50 @@ def potential_gradient(params: dict[tuple[int, int], np.ndarray],
     Returns one array per learnable block, matching ``params`` shapes.
     Verified against central finite differences in the test suite.
     """
-    st = _compile(spec)
-    _, _, Bn, norms = _evaluate(st, params)
-    return _gradient_from_state(st, Bn, norms)
+    fm = _FlatMap(spec)
+    _, _, state = _evaluate(fm, fm.flatten(fm.st.build(params=params).params))
+    return fm.unflatten(_gradient(fm, *state))
 
 
-def _grad_norm_sq(grads) -> float:
-    return sum(float(np.sum(g * g)) for g in grads.values())
-
-
-def _descend(st: FrameStructure, seed: int, opts: MinimizeOptions):
-    """One restart: returns (objective, mu, params, trajectory, iterations)."""
-    params = {k: v.copy() for k, v in st.build(seed=seed).params.items()}
-    obj, mu, Bn, norms = _evaluate(st, params)
+def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
+    """One restart: returns (objective, mu, theta, trajectory, record)."""
+    theta = fm.flatten(fm.st.build(seed=seed).params)
+    obj, mu, state = _evaluate(fm, theta)
     trajectory = [(0, obj, mu)]
-    step = opts.step
-    history = [obj]
-    iters_done = 0
+    step, evaluations, stop = opts.step, 1, "max_iters"
     for it in range(1, opts.max_iters + 1):
-        grads = _gradient_from_state(st, Bn, norms)
-        gnorm_sq = _grad_norm_sq(grads)
+        grad = _gradient(fm, *state)
+        gnorm_sq = fm.sq_norm(grad)
         if gnorm_sq == 0.0:
+            stop = "zero_gradient"
             break
-        accepted = False
         while step > 1e-18:
-            trial = {k: params[k] - step * grads[k] for k in params}
+            trial = theta - step * grad
+            evaluations += 1
             try:
-                t_obj, t_mu, t_Bn, t_norms = _evaluate(st, trial)
+                t_obj, t_mu, t_state = _evaluate(fm, trial)
             except (FrameBuildError, NormalizationError):
-                step *= 0.5
-                continue
-            if not math.isfinite(t_obj):
-                raise FloatingPointError(f"objective went non-finite at iteration {it}")
-            if t_obj <= obj - 1e-4 * step * gnorm_sq:
-                accepted = True
-                break
+                pass
+            else:
+                if not math.isfinite(t_obj):
+                    raise FloatingPointError(f"objective went non-finite at iteration {it}")
+                if t_obj <= obj - 1e-4 * step * gnorm_sq:
+                    break
             step *= 0.5
-        if not accepted:
+        else:
+            stop = "step_underflow"
             break
-        params, obj, mu, Bn, norms = trial, t_obj, t_mu, t_Bn, t_norms
+        theta, obj, mu, state = trial, t_obj, t_mu, t_state
         trajectory.append((it, obj, mu))
-        history.append(obj)
-        iters_done = it
         step *= 2.0
-        if len(history) > opts.tol_window:
-            past = history[-opts.tol_window - 1]
+        if len(trajectory) > opts.tol_window:
+            past = trajectory[-opts.tol_window - 1][1]
             if (past - obj) < opts.tol * max(past, 1e-30):
+                stop = "tolerance"
                 break
-    return obj, mu, params, trajectory, iters_done
+    # every trial evaluation is either an accepted step or a backtrack
+    record = RestartRecord(seed, stop, evaluations, evaluations - len(trajectory))
+    return obj, mu, theta, trajectory, record
 
 
 def minimize_deep_frame_potential(spec: ArchitectureSpec,
@@ -204,39 +257,27 @@ def minimize_deep_frame_potential(spec: ArchitectureSpec,
     if every restart fails, raises :class:`MinimizeError`.
     """
     opts = opts or MinimizeOptions()
-    st = _compile(spec)
-    outcomes = []
-    trajectories: list[list[tuple[int, float, float]]] = []
-    failures: list[tuple[int, str]] = []
-    for r in range(opts.restarts):
-        seed = opts.seed + r
+    fm = _FlatMap(spec)
+    outcomes, failures = [], []
+    for seed in range(opts.seed, opts.seed + opts.restarts):
         try:
-            obj, mu, params, traj, iters = _descend(st, seed, opts)
+            outcomes.append(_descend(fm, seed, opts))
         except (FloatingPointError, FrameBuildError, NormalizationError) as exc:
             failures.append((seed, str(exc)))
-            continue
-        outcomes.append((obj, seed, mu, params, iters))
-        trajectories.append(traj)
     if not outcomes:
-        raise MinimizeError(
-            f"all {opts.restarts} restarts failed: {failures}"
-        )
-    obj, seed, mu, params, iters = min(outcomes, key=lambda t: (t[0], t[1]))
+        raise MinimizeError(f"all {opts.restarts} restarts failed: {failures}")
+    obj, mu, theta, traj, record = min(outcomes, key=lambda o: (o[0], o[4].seed))
     return MinimizeResult(
-        objective=obj,
-        mu=mu,
-        frame=st.build(params=params),
-        trajectories=trajectories,
-        iterations=iters,
-        seed=seed,
-        failed_restarts=failures,
-    )
+        objective=obj, mu=mu, frame=fm.st.build(params=fm.unflatten(theta)),
+        trajectories=[o[3] for o in outcomes], iterations=len(traj) - 1, seed=record.seed,
+        restarts=[o[4] for o in outcomes], failed_restarts=failures)
 
 
 __all__ = [
     "MinimizeError",
     "MinimizeOptions",
     "MinimizeResult",
+    "RestartRecord",
     "minimize_deep_frame_potential",
     "potential_gradient",
 ]

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from deepframe import archspec, framebuild
+from deepframe import archspec, framebuild, minimize
 from deepframe.coherence import frame_potential, mutual_coherence
-from deepframe.framebuild import build_global_frame, gram, normalize
+from deepframe.framebuild import (FrameBuildError, NormalizationError, build_global_frame,
+                                  gram, normalize)
 from deepframe.minimize import (
     MinimizeError,
     MinimizeOptions,
+    _FlatMap,
     minimize_deep_frame_potential,
     potential_gradient,
 )
@@ -61,6 +63,12 @@ def test_options_validate():
         MinimizeOptions(restarts=0)
     with pytest.raises(ValueError):
         MinimizeOptions(tol=0.0)
+    # NaN fails every comparison, so it has to be refused explicitly
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            MinimizeOptions(step=bad)
+        with pytest.raises(ValueError, match="finite"):
+            MinimizeOptions(tol=bad)
 
 
 # --- gradient -----------------------------------------------------------------
@@ -79,8 +87,15 @@ def test_gradient_matches_finite_differences(pattern, widths):
     assert relative_gap(analytic, numeric) < 1e-6
 
 
-def test_gradient_matches_finite_differences_conv():
-    spec = conv_spec("chain", 1, 4, [2, 2], filt=3)
+@pytest.mark.parametrize("spec", [
+    pytest.param(conv_spec("chain", 1, 4, [2, 2], filt=3), id="chain"),
+    # learnable off-diagonal conv couplings: the transposed, negated path
+    pytest.param(conv_spec("dense", 1, 3, [2, 2, 2]), id="dense"),
+    pytest.param(conv_spec("residual", 2, 3, [2, 2, 2]), id="residual"),
+    pytest.param(conv_spec("dense", 1, 6, [2, 2], ndim=1), id="dense-1d"),
+    pytest.param(conv_spec("chain", 2, 5, [3], filt=4, stride=2), id="stride2"),
+])
+def test_gradient_matches_finite_differences_conv(spec):
     params = build_global_frame(spec, seed=17).params
     analytic = potential_gradient(params, spec)
     numeric = finite_difference(spec, params)
@@ -94,6 +109,145 @@ def test_gradient_shapes_match_params():
     assert set(grads) == set(params)
     for key in params:
         assert grads[key].shape == params[key].shape
+
+
+# --- the compiled scatter map -------------------------------------------------
+
+
+MAP_SPECS = [
+    pytest.param(fc_spec("chain", 3, [5, 4]), id="fc-chain"),
+    pytest.param(fc_spec("residual", 4, [4, 3, 4]), id="fc-residual"),
+    pytest.param(fc_spec("dense", 3, [5, 4, 3]), id="fc-dense"),
+    pytest.param(conv_spec("chain", 1, 4, [2, 2]), id="conv-chain"),
+    pytest.param(conv_spec("residual", 2, 3, [3, 3, 3]), id="conv-residual"),
+    pytest.param(conv_spec("dense", 2, 4, [3, 2, 2]), id="conv-dense"),
+    pytest.param(conv_spec("dense", 2, 8, [3, 2], ndim=1), id="conv-dense-1d"),
+    pytest.param(conv_spec("chain", 2, 5, [3], filt=4, stride=2), id="conv-stride2"),
+]
+
+
+def block_scatter(st, gb):
+    """Oracle adjoint: scatter a global-matrix gradient into blocks and taps."""
+    grads = {}
+    for b in st.learnable:
+        key = (b.row, b.col)
+        sub = gb[st.row_off[b.row]:st.row_off[b.row + 1],
+                 st.col_off[b.col]:st.col_off[b.col + 1]]
+        if b.form == "conv":
+            rows, cols, taps, _ = st.conv_entries[key]
+            weights = sub[rows, cols] if b.is_diagonal else -sub[cols, rows]
+            flat = np.bincount(taps, weights=weights, minlength=int(np.prod(b.shape)))
+            grads[key] = flat.reshape(b.shape)
+        elif b.is_diagonal:
+            grads[key] = sub.copy()
+        else:
+            grads[key] = -sub.T
+    return grads
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_flat_map_matrix_equals_materialized_frame(spec):
+    fm = _FlatMap(spec)
+    params = fm.st.build(seed=3).params
+    theta = fm.flatten(params)
+    # equal entry for entry; only the sign of structural zeros may differ
+    # (negated placed blocks hold -0.0 where the map's zeroed matrix holds 0.0)
+    assert np.array_equal(fm.matrix(theta), fm.st.build(params=params).materialize())
+    back = fm.unflatten(theta)
+    assert set(back) == set(params)
+    for key in params:
+        assert back[key].shape == params[key].shape
+        assert np.array_equal(back[key], params[key])
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_flat_map_adjoint_equals_block_scatter(spec):
+    fm = _FlatMap(spec)
+    gb = np.random.default_rng(8).standard_normal(fm.st.shape)
+    got = fm.unflatten(fm.adjoint(gb))
+    want = block_scatter(fm.st, gb)
+    assert set(got) == set(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS)
+def test_flat_map_sq_norm_sums_per_parameter_array(spec):
+    # the Armijo test sums ||g||^2 array by array, each in its memory order
+    fm = _FlatMap(spec)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        gb = rng.standard_normal(fm.st.shape)
+        want = sum(float(np.sum(g * g)) for g in block_scatter(fm.st, gb).values())
+        assert fm.sq_norm(fm.adjoint(gb)) == want
+
+
+def block_descent(spec, seed, opts):
+    """Oracle descent on per-block parameter dicts, rebuilding the frame per evaluation."""
+    st = framebuild.frame_structure(spec)
+
+    def evaluate(params):
+        B = st.build(params=params).materialize()
+        norms = np.linalg.norm(B, axis=0)
+        Bn = B / norms
+        E = Bn.T @ Bn
+        np.fill_diagonal(E, 0.0)
+        return float(np.sum(E * E)) / st.offdiag_count, Bn, norms, E
+
+    params = st.build(seed=seed).params
+    obj, Bn, norms, E = evaluate(params)
+    trajectory, step = [obj], opts.step
+    for _ in range(opts.max_iters):
+        gt = (4.0 / st.offdiag_count) * (Bn @ E)
+        gb = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / norms
+        grads = block_scatter(st, gb)
+        gnorm_sq = sum(float(np.sum(g * g)) for g in grads.values())
+        while step > 1e-18:
+            trial = {k: params[k] - step * grads[k] for k in params}
+            t_obj, t_Bn, t_norms, t_E = evaluate(trial)
+            if t_obj <= obj - 1e-4 * step * gnorm_sq:
+                break
+            step *= 0.5
+        else:
+            break
+        params, obj, Bn, norms, E = trial, t_obj, t_Bn, t_norms, t_E
+        trajectory.append(obj)
+        step *= 2.0
+    return trajectory, params
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(fc_spec("dense", 3, [5, 4, 3]), id="fc-dense"),
+    pytest.param(fc_spec("residual", 4, [4, 3, 4]), id="fc-residual"),
+    pytest.param(conv_spec("dense", 2, 4, [3, 2, 2]), id="conv-dense"),
+    pytest.param(conv_spec("chain", 2, 3, [4, 4]), id="conv-chain"),
+])
+def test_flat_descent_reproduces_block_descent_bitwise(spec):
+    # the flat descent keeps every sum order of the block-dict descent,
+    # including the per-block order of ||g||^2 in the Armijo test
+    opts = MinimizeOptions(seed=2, restarts=1, max_iters=40, tol_window=1000)
+    res = minimize_deep_frame_potential(spec, opts)
+    want_traj, want_params = block_descent(spec, 2, opts)
+    assert [pt[1] for pt in res.trajectories[0]] == want_traj
+    for key in want_params:
+        assert np.array_equal(res.params[key], want_params[key])
+
+
+@pytest.mark.parametrize("spec,zero", [
+    pytest.param(fc_spec("chain", 3, [4, 3]), (slice(None), 1), id="fc"),
+    pytest.param(conv_spec("chain", 1, 4, [2, 2]), 1, id="conv"),
+])
+def test_flat_map_refuses_dead_diagonal_column_like_build(spec, zero):
+    fm = _FlatMap(spec)
+    params = fm.st.build(seed=0).params
+    params[(0, 0)][zero] = 0.0
+    # the identity coupling below keeps every global column of layer 0 alive
+    assert (1, 0) in fm.st.identity
+    with pytest.raises(FrameBuildError) as want:
+        fm.st.build(params=params)
+    with pytest.raises(FrameBuildError) as got:
+        fm.matrix(fm.flatten(params))
+    assert str(got.value) == str(want.value)
 
 
 # --- descent ------------------------------------------------------------------
@@ -191,3 +345,59 @@ def test_refuses_operator_wider_than_materialize_limit(monkeypatch):
     spec = fc_spec("chain", 2, [framebuild.MATERIALIZE_COL_LIMIT + 1])
     with pytest.raises(framebuild.FrameBuildError, match="2x4097 operator"):
         minimize_deep_frame_potential(spec, MinimizeOptions(restarts=1, max_iters=1))
+
+
+def test_restart_records_count_evaluations(monkeypatch):
+    calls = []
+    real = minimize._evaluate
+
+    def counting(fm, theta):
+        calls.append(1)
+        return real(fm, theta)
+
+    monkeypatch.setattr(minimize, "_evaluate", counting)
+    spec = fc_spec("dense", 3, [5, 4])
+    res = minimize_deep_frame_potential(
+        spec, MinimizeOptions(seed=4, restarts=2, max_iters=5))
+    assert [r.seed for r in res.restarts] == [4, 5]
+    for record, traj in zip(res.restarts, res.trajectories):
+        assert record.stop == "max_iters"
+        assert record.evaluations >= 6
+        assert record.evaluations == (len(traj) - 1) + record.backtracks + 1
+    assert sum(r.evaluations for r in res.restarts) == len(calls)
+
+
+def test_restart_records_tolerance_stop():
+    res = minimize_deep_frame_potential(
+        fc_spec("chain", 2, [3]), MinimizeOptions(seed=0, restarts=1))
+    (record,) = res.restarts
+    assert record.stop == "tolerance"
+    assert res.iterations < 5000
+
+
+def test_restart_records_zero_gradient_and_underflow(monkeypatch):
+    spec = fc_spec("chain", 3, [4])
+    opts = MinimizeOptions(seed=0, restarts=1, max_iters=10)
+    monkeypatch.setattr(minimize, "_gradient", lambda fm, *state: np.zeros(fm.size))
+    (record,) = minimize_deep_frame_potential(spec, opts).restarts
+    assert (record.stop, record.evaluations, record.backtracks) == ("zero_gradient", 1, 0)
+
+    monkeypatch.undo()
+    real = minimize._evaluate
+    calls = []
+
+    def refuse_trials(fm, theta):
+        # the first call is the initial draw; every trial after it is refused
+        calls.append(1)
+        if len(calls) > 1:
+            raise NormalizationError("refused")
+        return real(fm, theta)
+
+    monkeypatch.setattr(minimize, "_evaluate", refuse_trials)
+    res = minimize_deep_frame_potential(spec, opts)
+    (record,) = res.restarts
+    assert record.stop == "step_underflow"
+    assert res.iterations == 0
+    # a step of 1e-2 falls to 1e-18 or below after 54 halvings, one per refused trial
+    assert record.evaluations == len(calls) == 1 + 54
+    assert record.backtracks == 54
