@@ -45,7 +45,6 @@ from .inference import (
     bcd_inference,
     feed_forward,
     layered_basis_pursuit,
-    shallow_ista,
 )
 from .minimize import (
     MinimizeError,
@@ -94,7 +93,6 @@ __all__ = [
     "parse_spec",
     "rank",
     "serialize_spec",
-    "shallow_ista",
     "sparsity_guarantee_thresholds",
     "welch_bound",
     "__version__",

@@ -87,36 +87,6 @@ def conv_operator_entries(channels: int, filters: int, spatial: int,
             shape)
 
 
-def conv_matrix_from_entries(entries, filter_bank: np.ndarray) -> np.ndarray:
-    rows, cols, taps, shape = entries
-    mat = np.zeros(shape)
-    mat[rows, cols] = filter_bank.reshape(-1)[taps]
-    return mat
-
-
-def materialize_conv_operator(layer: LayerSpec, filter_bank: np.ndarray) -> np.ndarray:
-    """Dense synthesis matrix of a convolutional layer.
-
-    ``filter_bank`` has shape (width, channels, f) for 1-D layers or
-    (width, channels, f, f) for 2-D ones. The result maps coefficient maps
-    to the layer's input space; its transpose maps a signal to per-filter
-    correlation maps.
-    """
-    if not layer.is_conv:
-        raise FrameBuildError("materialize_conv_operator needs a convolutional layer")
-    nd = layer.ndim
-    expected = (layer.width, layer.channels) + (layer.filter_size,) * nd
-    filter_bank = np.asarray(filter_bank, dtype=np.float64)
-    if filter_bank.shape != expected:
-        raise FrameBuildError(
-            f"filter bank shape {filter_bank.shape} does not match layer "
-            f"(expected {expected})"
-        )
-    entries = conv_operator_entries(layer.channels, layer.width, layer.spatial,
-                                    layer.filter_size, layer.stride, nd)
-    return conv_matrix_from_entries(entries, filter_bank)
-
-
 def conv_gram_nonzeros(layer: LayerSpec) -> int:
     """Structural off-diagonal count of a single 2-D conv layer's Gram.
 
@@ -277,16 +247,22 @@ class FrameStructure:
                 continue
             stored = params[key]
             if b.form == "conv":
-                stored = conv_matrix_from_entries(self.conv_entries[key], stored)
+                rows, cols, taps, shape = self.conv_entries[key]
+                mat = np.zeros(shape)
+                mat[rows, cols] = stored.reshape(-1)[taps]
+                stored = mat
             placed[key] = stored if b.is_diagonal else -stored.T
             if b.is_diagonal:
-                refuse_dead_columns(key, placed[key])
+                refuse_dead_columns(key, np.einsum("ij,ij->j", stored, stored))
         return GlobalFrame(structure=self, params=params, placed=placed)
 
 
-def refuse_dead_columns(key: tuple[int, int], placed: np.ndarray) -> None:
-    """Raise FrameBuildError if the diagonal block at ``key`` has a zero column."""
-    dead = np.nonzero(np.linalg.norm(placed, axis=0) == 0.0)[0]
+def refuse_dead_columns(key: tuple[int, int], col_sq: np.ndarray) -> None:
+    """Raise FrameBuildError if the diagonal block at ``key`` has a zero column.
+
+    ``col_sq`` holds the block's per-column sums of squares.
+    """
+    dead = np.nonzero(col_sq == 0.0)[0]
     if dead.size:
         raise FrameBuildError(f"diagonal block {key} has zero columns at {dead.tolist()}")
 
@@ -399,14 +375,9 @@ class NormalizationError(ValueError):
 
 @dataclass
 class NormalizationState:
-    """Column-magnitude bookkeeping of a frame.
+    """Column-magnitude bookkeeping of a frame: ``col_norms[j]`` holds the
+    global column norms of group j."""
 
-    ``block_norms[(i, j)]`` holds the per-column norms of the placed block
-    at (i, j); ``col_norms[j]`` the global column norms of group j, so that
-    col_norms[j]**2 == sum_i block_norms[(i, j)]**2.
-    """
-
-    block_norms: dict[tuple[int, int], np.ndarray]
     col_norms: dict[int, np.ndarray]
 
 
@@ -414,17 +385,14 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
     """Column-normalize the global operator.
 
     Returns a value-only frame (empty ``params``) whose placed blocks carry
-    unit global column norms, together with the per-block magnitude state.
+    unit global column norms, together with the column norms it divided by.
     """
-    block_norms: dict[tuple[int, int], np.ndarray] = {}
     col_norms: dict[int, np.ndarray] = {}
     for j in range(frame.depth):
         total = np.zeros(frame.col_dims[j])
         for i in frame.structure.rows_of[j]:
             blk = frame.placed[(i, j)]
-            sq = np.einsum("ij,ij->j", blk, blk)
-            block_norms[(i, j)] = np.sqrt(sq)
-            total += sq
+            total += np.einsum("ij,ij->j", blk, blk)
         norms = np.sqrt(total)
         dead = np.nonzero(norms == 0.0)[0]
         if dead.size:
@@ -440,7 +408,7 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
     }
     normalized = GlobalFrame(structure=frame.structure, params={},
                              placed=placed, normalized=True)
-    return normalized, NormalizationState(block_norms=block_norms, col_norms=col_norms)
+    return normalized, NormalizationState(col_norms=col_norms)
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +430,6 @@ class GramStructure:
     col_dims: tuple[int, ...]
     trace: float
     offdiag_count: int
-
-    @property
-    def total_cols(self) -> int:
-        return sum(self.col_dims)
-
-    def full(self) -> np.ndarray:
-        n = self.total_cols
-        offs = np.concatenate(([0], np.cumsum(self.col_dims))).astype(int)
-        out = np.zeros((n, n))
-        for (j, k), blk in self.blocks.items():
-            out[offs[j]:offs[j + 1], offs[k]:offs[k + 1]] = blk
-            if j != k:
-                out[offs[k]:offs[k + 1], offs[j]:offs[j + 1]] = blk.T
-        return out
 
     def frobenius_sq(self) -> float:
         total = 0.0
@@ -524,10 +478,8 @@ __all__ = [
     "NormalizationState",
     "build_global_frame",
     "conv_gram_nonzeros",
-    "conv_matrix_from_entries",
     "conv_operator_entries",
     "frame_structure",
     "gram",
-    "materialize_conv_operator",
     "normalize",
 ]

@@ -1,21 +1,20 @@
 """Sparse inference over global operators.
 
-Four ways to produce per-layer codes for an input signal, from cheapest to
+Three ways to produce per-layer codes for an input signal, from cheapest to
 most exact: a single thresholded forward pass, per-layer sparse coding
-down a chain, proximal gradient descent on a single shallow problem, and
-block coordinate descent on the global objective
+down a chain, and block coordinate descent on the global objective
 
     1/2 ||x - B_00 w_0||^2
         + sum_{j>=1} 1/2 ||B_jj w_j - sum_{k<j} B_jk^T w_k||^2
         + sum_j lam_j * sum(w_j),   codes constrained nonnegative,
 
 which is 1/2 ||B w - [x; 0; ...; 0]||^2 plus the penalty for the global
-operator B. The forward pass and block descent share one residual core:
-the residual R = B w - [x; 0; ...; 0], one vector per row group, is kept
-current while a sweep takes a prox-linear step on each block in ascending
-order. A block step costs one product with its column block for the
-gradient and one for the residual update, and each cycle's objective is
-read off R.
+operator B. All three are schedules of one nonnegative prox-linear block
+step on a kept residual R = B w - [x; 0; ...; 0], one vector per row
+group. A block step costs one product with its column block for the
+gradient and one for the residual update, and objectives are read off R.
+Block descent and the forward pass sweep the blocks in ascending order;
+layered pursuit takes many steps on one block before moving to the next.
 
 The first sweep from zero codes reads only each block's own row: the rows
 below it are zero at the sweep's starting state. With unit steps that
@@ -104,9 +103,9 @@ def safe_step(mat: np.ndarray) -> float:
 class InferenceResult:
     """Codes plus bookkeeping from one inference run.
 
-    ``objectives`` records the global objective after every cycle (or
-    iteration, for the shallow solver); ``sparsity`` is the fraction of
-    exactly-zero entries per layer.
+    ``objectives`` records the global objective after every cycle of block
+    descent, or once at the end for the forward pass and layered pursuit;
+    ``sparsity`` is the fraction of exactly-zero entries per layer.
     """
 
     codes: list[np.ndarray]
@@ -118,51 +117,6 @@ class InferenceResult:
     @property
     def final_objective(self) -> float:
         return self.objectives[-1]
-
-
-@dataclass
-class IstaResult:
-    """Output of the shallow solver; ``step`` is the step size used."""
-
-    codes: np.ndarray
-    objectives: list[float]
-    step: float
-    objective_increased: bool = False
-
-
-def shallow_ista(x: np.ndarray, B: np.ndarray, lam: float,
-                 gamma: float | None = None, iters: int = 100) -> IstaResult:
-    """Proximal gradient descent on one nonnegative sparse coding problem.
-
-    Minimizes 1/2||x - B w||^2 + lam*sum(w) over w >= 0 from w = 0. With
-    ``gamma`` unset, a step just under 1/L is computed automatically and
-    the objective never increases. An explicit oversized step is allowed
-    (one iteration with gamma=1 is the classic thresholding pursuit) but
-    any objective increase is flagged on the result.
-    """
-    B = np.asarray(B, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if iters < 1:
-        raise ValueError("iteration budget must be at least 1")
-    if x.shape != (B.shape[0],):
-        raise ValueError(f"input has shape {x.shape}, operator rows {B.shape[0]}")
-    step = safe_step(B) if gamma is None else float(gamma)
-    w = np.zeros(B.shape[1])
-    r = B @ w - x
-    objectives: list[float] = []
-    increased = False
-    prev = 0.5 * float(r @ r)
-    for _ in range(iters):
-        w = prox_nonneg_soft_threshold(w - step * (B.T @ r), step * lam)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = B @ w - x
-            obj = 0.5 * float(r @ r) + lam * float(np.sum(w))
-        if obj > prev:
-            increased = True
-        objectives.append(obj)
-        prev = obj
-    return IstaResult(codes=w, objectives=objectives, step=step,
-                      objective_increased=increased)
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +198,33 @@ def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
     return _objective(res, codes, lams)
 
 
+def _block_step(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
+                j: int, grad_rows, update_rows, step: float, lam: float) -> None:
+    """One prox-linear step on block j, updating codes[j] and res in place.
+
+    The gradient is sum_i placed[(i, j)]^T R_i over ``grad_rows``; after
+    the step each row in ``update_rows`` absorbs placed[(i, j)] @ (change
+    in w_j). Rows of block j left out of ``update_rows`` go stale, and the
+    caller owes them that change.
+    """
+    grad = sum(frame.placed[(i, j)].T @ res[i] for i in grad_rows)
+    new = prox_nonneg_soft_threshold(codes[j] - step * grad, step * lam)
+    delta = new - codes[j]
+    codes[j] = new
+    for i in update_rows:
+        res[i] += frame.placed[(i, j)] @ delta
+
+
 def _sweep(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
            steps: list[float], lams: list[float], own_row_only: bool) -> None:
-    """One prox-linear step per block, ascending, updating codes and res in place.
+    """One block step per block, ascending; every row the block touches absorbs it.
 
-    Block j's gradient is sum_i placed[(i, j)]^T R_i over its own row alone
-    (``own_row_only``) or over every row group it touches; after the step
-    each of those rows absorbs placed[(i, j)] @ (change in w_j).
+    Block j's gradient reads its own row alone (``own_row_only``) or every
+    row group it touches.
     """
-    rows_of = frame.structure.rows_of
-    for j in range(frame.depth):
-        rows = (j,) if own_row_only else rows_of[j]
-        grad = sum(frame.placed[(i, j)].T @ res[i] for i in rows)
-        new = prox_nonneg_soft_threshold(codes[j] - steps[j] * grad,
-                                         steps[j] * lams[j])
-        delta = new - codes[j]
-        codes[j] = new
-        for i in rows_of[j]:
-            res[i] += frame.placed[(i, j)] @ delta
+    for j, rows in enumerate(frame.structure.rows_of):
+        _block_step(frame, codes, res, j, (j,) if own_row_only else rows, rows,
+                    steps[j], lams[j])
 
 
 def _sparsity(codes: list[np.ndarray]) -> list[float]:
@@ -292,10 +255,13 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
                           budget: int = 100) -> InferenceResult:
     """Solve a chain layer by layer, each to its own optimum.
 
-    Layer j's codes solve the shallow problem with the previous layer's
-    codes as the target signal, using :func:`shallow_ista` for ``budget``
-    iterations at a step just under 1/L of the layer's diagonal block
-    (computed once per frame). Only defined for chain connectivity.
+    Layer j's codes solve the shallow problem min 1/2||B_jj w - t||^2 +
+    lam_j sum(w), w >= 0, with the previous layer's codes as the target t
+    (the input for layer 0): ``budget`` own-row block steps from zero at
+    a step just under 1/L of B_jj (computed once per frame), which is
+    nonnegative ISTA. On a depth-1 chain this is single-layer ISTA. The
+    coupling row below absorbs layer j's final codes once, so layer j+1's
+    target is exactly w_j. Only defined for chain connectivity.
     """
     start = time.perf_counter()
     if not frame.spec.is_chain:
@@ -305,16 +271,16 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
         )
     x = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
+    if budget < 1:
+        raise ValueError("iteration budget must be at least 1")
     steps = _cached_steps(frame, "diagonal", lambda j: frame.placed[(j, j)])
-    codes: list[np.ndarray] = []
-    target = x
-    for j in range(frame.depth):
-        res = shallow_ista(target, frame.placed[(j, j)], lams[j], gamma=steps[j],
-                           iters=budget)
-        codes.append(res.codes)
-        target = res.codes
-    obj = objective_value(codes, frame, x, lams)
-    return InferenceResult(codes=codes, objectives=[obj],
+    codes, res = _zero_start(frame, x)
+    for j, rows in enumerate(frame.structure.rows_of):
+        for _ in range(budget):
+            _block_step(frame, codes, res, j, (j,), (j,), steps[j], lams[j])
+        for i in rows[1:]:
+            res[i] += frame.placed[(i, j)] @ codes[j]
+    return InferenceResult(codes=codes, objectives=[_objective(res, codes, lams)],
                            sparsity=_sparsity(codes),
                            wall_clock=time.perf_counter() - start,
                            method="layered_bp")
@@ -401,7 +367,6 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
 __all__ = [
     "DivergenceError",
     "InferenceResult",
-    "IstaResult",
     "UnsupportedMethodError",
     "bcd_inference",
     "block_step_sizes",

@@ -157,15 +157,20 @@ class _FlatMap:
         """||g||^2 summed block by block, in the order of the parameter arrays."""
         return sum(float(np.sum(g[lo:hi] * g[lo:hi])) for _, lo, hi in self.segments)
 
-    def matrix(self, theta: np.ndarray) -> np.ndarray:
-        """The dense operator at theta; refuses dead columns as ``build`` does."""
+    def matrix(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The dense operator at theta and its global column norms.
+
+        The operator is squared once: ``build``'s refusal of a zero column in
+        a learnable diagonal block and the global norms both read the squares.
+        """
         B = np.zeros(self.st.shape)
         flat = B.reshape(-1)
         flat[self.const_index] = self.const_value
         flat[self.index] = self.sign * theta[self.source]
+        sq = B * B
         for key, rows, cols in self.diagonal:
-            refuse_dead_columns(key, B[rows, cols])
-        return B
+            refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
+        return B, np.sqrt(np.add.reduce(sq, axis=0))
 
     def adjoint(self, G: np.ndarray) -> np.ndarray:
         """The map's adjoint: each placed entry of G, signed, summed into theta."""
@@ -175,8 +180,7 @@ class _FlatMap:
 
 def _evaluate(fm: _FlatMap, theta: np.ndarray):
     """Objective, coherence and the descent state (Bn, norms, E) at theta."""
-    B = fm.matrix(theta)
-    norms = np.linalg.norm(B, axis=0)
+    B, norms = fm.matrix(theta)
     if np.any(norms == 0.0):
         raise NormalizationError("zero global column during optimization")
     B /= norms

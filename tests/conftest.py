@@ -1,9 +1,10 @@
-"""Shared spec builders for the test suite."""
+"""Shared spec builders and dense oracles for the test suite."""
 
 import numpy as np
 import pytest
 
 from deepframe.archspec import parse_spec
+from deepframe.framebuild import conv_operator_entries
 
 
 def fc_spec(pattern, input_dim, widths, name=None):
@@ -56,6 +57,35 @@ def random_specs(count, rng=None, max_depth=4, max_width=16):
             depth = int(rng.integers(1, max_depth + 1))
             widths = [int(rng.integers(2, max_width + 1)) for _ in range(depth)]
         out.append(fc_spec(pattern, d, widths))
+    return out
+
+
+def materialize_conv_operator(layer, filter_bank):
+    """Dense synthesis matrix of a convolutional layer, from its index map.
+
+    ``filter_bank`` has shape (width, channels, f) for 1-D layers or
+    (width, channels, f, f) for 2-D ones. The result maps coefficient maps
+    to the layer's input space; its transpose maps a signal to per-filter
+    correlation maps.
+    """
+    expected = (layer.width, layer.channels) + (layer.filter_size,) * layer.ndim
+    assert filter_bank.shape == expected
+    rows, cols, taps, shape = conv_operator_entries(
+        layer.channels, layer.width, layer.spatial, layer.filter_size,
+        layer.stride, layer.ndim)
+    mat = np.zeros(shape)
+    mat[rows, cols] = filter_bank.reshape(-1)[taps]
+    return mat
+
+
+def gram_full(g):
+    """The dense symmetric Gram matrix of a GramStructure's upper block triangle."""
+    offs = np.concatenate(([0], np.cumsum(g.col_dims))).astype(int)
+    out = np.zeros((offs[-1], offs[-1]))
+    for (j, k), blk in g.blocks.items():
+        out[offs[j]:offs[j + 1], offs[k]:offs[k + 1]] = blk
+        if j != k:
+            out[offs[k]:offs[k + 1], offs[j]:offs[j + 1]] = blk.T
     return out
 
 

@@ -28,14 +28,11 @@ from deepframe import (
     param_count,
     sparsity_guarantee_thresholds,
 )
-from deepframe.framebuild import (
-    conv_gram_nonzeros,
-    conv_operator_entries,
-    materialize_conv_operator,
-)
+from deepframe.framebuild import conv_gram_nonzeros, conv_operator_entries
 from deepframe.minimize import potential_gradient
 
-from conftest import conv_spec, fc_spec, random_specs
+from conftest import (conv_spec, fc_spec, gram_full, materialize_conv_operator,
+                      random_specs)
 from test_framebuild import naive_conv_apply
 from test_inference import stacked_ista_oracle
 from test_minimize import finite_difference, relative_gap
@@ -108,7 +105,7 @@ def test_criterion_3_gram_equivalence():
         unit, _ = normalize(build_global_frame(spec, seed=i))
         g = gram(unit)
         dense = unit.materialize().T @ unit.materialize()
-        worst_entry = max(worst_entry, float(np.max(np.abs(g.full() - dense))))
+        worst_entry = max(worst_entry, float(np.max(np.abs(gram_full(g) - dense))))
         frob = math.sqrt(g.frobenius_sq())
         worst_frob = max(worst_frob,
                          abs(frob - float(np.linalg.norm(dense))))

@@ -267,6 +267,14 @@ def test_infer_dimension_mismatch_exits_one(specdir, tmp_path, capsys):
     assert "dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["layered_bp", "bcd"])
+def test_infer_zero_budget_exits_one(specdir, tmp_path, capsys, method):
+    write_csv(tmp_path / "x.csv", np.array([[0.3, 0.9]]))
+    assert main(["infer", str(specdir / "tri.json"), str(tmp_path / "x.csv"),
+                 "--method", method, "--iters", "0"]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_infer_divergence_exits_two(specdir, tmp_path, capsys):
     write_csv(tmp_path / "x.csv", np.array([[5.0, -3.0]]))
     code = main(["infer", str(specdir / "tri.json"), str(tmp_path / "x.csv"),

@@ -12,11 +12,11 @@ from deepframe.framebuild import (
     conv_gram_nonzeros,
     conv_operator_entries,
     gram,
-    materialize_conv_operator,
     normalize,
 )
 
-from conftest import conv_spec, fc_spec, random_specs
+from conftest import (conv_spec, fc_spec, gram_full, materialize_conv_operator,
+                      random_specs)
 
 
 def naive_conv_apply(bank, signal, spatial, stride, ndim):
@@ -277,14 +277,14 @@ def test_gram_matches_materialized(pattern, widths):
     unit, _ = normalize(build_global_frame(spec, seed=5))
     g = gram(unit)
     mat = unit.materialize()
-    assert np.allclose(g.full(), mat.T @ mat, atol=1e-12)
+    assert np.allclose(gram_full(g), mat.T @ mat, atol=1e-12)
 
 
 def test_gram_matches_materialized_conv():
     spec = conv_spec("chain", 2, 4, [3, 2])
     unit, _ = normalize(build_global_frame(spec, seed=5))
     mat = unit.materialize()
-    assert np.allclose(gram(unit).full(), mat.T @ mat, atol=1e-12)
+    assert np.allclose(gram_full(gram(unit)), mat.T @ mat, atol=1e-12)
 
 
 def test_gram_trace_and_counts():
@@ -292,7 +292,7 @@ def test_gram_trace_and_counts():
     unit, _ = normalize(build_global_frame(spec, seed=1))
     g = gram(unit)
     assert g.trace == pytest.approx(sum(spec.col_dims))
-    full = g.full()
+    full = gram_full(g)
     structural = np.count_nonzero(np.abs(full) > 0) - full.shape[0]
     assert g.offdiag_count >= structural
 
@@ -389,7 +389,7 @@ def test_chain_closed_form_agrees():
 def test_gram_psd_property(seed):
     spec = random_specs(1, rng=np.random.default_rng(seed))[0]
     unit, _ = normalize(build_global_frame(spec, seed=seed))
-    eigs = np.linalg.eigvalsh(gram(unit).full())
+    eigs = np.linalg.eigvalsh(gram_full(gram(unit)))
     assert eigs.min() > -1e-10
 
 
@@ -399,4 +399,4 @@ def test_frobenius_sq_matches_full():
         unit, _ = normalize(build_global_frame(spec, seed=i))
         g = gram(unit)
         assert g.frobenius_sq() == pytest.approx(
-            float(np.sum(g.full() ** 2)), rel=1e-12)
+            float(np.sum(gram_full(g) ** 2)), rel=1e-12)

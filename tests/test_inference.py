@@ -1,4 +1,4 @@
-"""Sparse inference: prox, shallow solver, forward pass, block descent."""
+"""Sparse inference: prox, forward pass, block descent, layered pursuit."""
 
 import math
 
@@ -17,7 +17,6 @@ from deepframe.inference import (
     objective_value,
     prox_nonneg_soft_threshold,
     safe_step,
-    shallow_ista,
 )
 
 from conftest import fc_spec
@@ -52,6 +51,27 @@ def stacked_ista_oracle(x, frame, lam, iters):
     return 0.5 * float(r @ r) + float(lam_vec @ w), w
 
 
+def layered_ista_oracle(x, blocks, lams, iters):
+    """Nonnegative ISTA layer by layer on bare matrices.
+
+    Layer j codes the previous layer's codes (x for layer 0) with its block
+    from zero, at a step just under 1/L of the block, keeping the residual
+    r = B w - target current by r += B @ (new - w).
+    """
+    codes, target = [], x
+    for B, lam in zip(blocks, lams):
+        step = safe_step(B)
+        w = np.zeros(B.shape[1])
+        r = -target
+        for _ in range(iters):
+            new = np.maximum(w - step * (B.T @ r) - step * lam, 0.0)
+            r += B @ (new - w)
+            w = new
+        codes.append(w)
+        target = w
+    return codes
+
+
 # --- proximal operator ------------------------------------------------------
 
 
@@ -68,7 +88,7 @@ def test_prox_elementwise():
                        [0.0, 0.0, 1.2])
 
 
-# --- power iteration and shallow solver --------------------------------------
+# --- power iteration ----------------------------------------------------------
 
 
 def test_largest_sq_singular_value_matches_svd(rng):
@@ -90,35 +110,6 @@ def test_safe_step_is_below_lipschitz(rng):
     mat = rng.normal(size=(6, 8))
     lip = float(np.linalg.svd(mat, compute_uv=False)[0] ** 2)
     assert safe_step(mat) < 1.0 / lip
-
-
-def test_shallow_ista_orthonormal_closed_form(rng):
-    # for orthonormal B the solution is one thresholding of B^T x
-    q, _ = np.linalg.qr(rng.normal(size=(6, 4)))
-    x = rng.normal(size=6)
-    res = shallow_ista(x, q, 0.3, iters=200)
-    assert np.allclose(res.codes, np.maximum(q.T @ x - 0.3, 0.0), atol=1e-10)
-    assert not res.objective_increased
-
-
-def test_shallow_ista_monotone(rng):
-    b = rng.normal(size=(5, 9))
-    res = shallow_ista(rng.normal(size=5), b, 0.1, iters=150)
-    diffs = np.diff(res.objectives)
-    assert np.all(diffs <= 1e-12)
-
-
-def test_shallow_ista_flags_oversized_step(rng):
-    b = rng.normal(size=(4, 10)) * 3.0
-    res = shallow_ista(rng.normal(size=4), b, 0.05, gamma=10.0, iters=60)
-    assert res.objective_increased
-
-
-def test_shallow_ista_validates():
-    with pytest.raises(ValueError, match="rows"):
-        shallow_ista(np.zeros(3), np.eye(2), 0.1)
-    with pytest.raises(ValueError, match="budget"):
-        shallow_ista(np.zeros(2), np.eye(2), 0.1, iters=0)
 
 
 # --- global objective and forward pass ---------------------------------------
@@ -308,13 +299,31 @@ def test_layered_bp_chain_only():
         layered_basis_pursuit(np.zeros(3), frame, 0.1)
 
 
+def test_shallow_ista_orthonormal_closed_form(rng):
+    # single-layer ISTA is layered pursuit on a depth-1 chain; for orthonormal
+    # B the solution is one thresholding of B^T x
+    q, _ = np.linalg.qr(rng.normal(size=(6, 4)))
+    frame = build_global_frame(fc_spec("chain", 6, [4]), params={(0, 0): q})
+    x = rng.normal(size=6)
+    res = layered_basis_pursuit(x, frame, 0.3, budget=200)
+    assert np.allclose(res.codes[0], np.maximum(q.T @ x - 0.3, 0.0), atol=1e-10)
+
+
+def test_shallow_ista_validates():
+    frame = build_global_frame(fc_spec("chain", 2, [2]), params={(0, 0): np.eye(2)})
+    with pytest.raises(ValueError, match="dimension"):
+        layered_basis_pursuit(np.zeros(3), frame, 0.1)
+    with pytest.raises(ValueError, match="budget"):
+        layered_basis_pursuit(np.zeros(2), frame, 0.1, budget=0)
+
+
 def test_layered_bp_single_layer_equals_shallow(rng):
     spec = fc_spec("chain", 4, [7])
     frame = build_global_frame(spec, seed=1)
     x = rng.normal(size=4)
     res = layered_basis_pursuit(x, frame, 0.1, budget=300)
-    ista = shallow_ista(x, frame.placed[(0, 0)], 0.1, iters=300)
-    assert np.allclose(res.codes[0], ista.codes, atol=0)
+    [want] = layered_ista_oracle(x, [frame.placed[(0, 0)]], [0.1], iters=300)
+    assert np.array_equal(res.codes[0], want)
 
 
 def test_layered_bp_composes_shallow_solves(rng):
@@ -323,7 +332,17 @@ def test_layered_bp_composes_shallow_solves(rng):
     frame = build_global_frame(spec, seed=7)
     x = rng.normal(size=5)
     lbp = layered_basis_pursuit(x, frame, [0.1, 0.2], budget=400)
-    first = shallow_ista(x, frame.placed[(0, 0)], 0.1, iters=400)
-    second = shallow_ista(first.codes, frame.placed[(1, 1)], 0.2, iters=400)
-    assert np.array_equal(lbp.codes[0], first.codes)
-    assert np.array_equal(lbp.codes[1], second.codes)
+    first, second = layered_ista_oracle(
+        x, [frame.placed[(0, 0)], frame.placed[(1, 1)]], [0.1, 0.2], iters=400)
+    assert np.array_equal(lbp.codes[0], first)
+    assert np.array_equal(lbp.codes[1], second)
+
+
+def test_layered_bp_objective_matches_fresh(rng):
+    # the reported objective is read off the kept residual, couplings included
+    spec = fc_spec("chain", 5, [9, 7, 6])
+    frame = build_global_frame(spec, seed=4)
+    x = rng.normal(size=5)
+    lbp = layered_basis_pursuit(x, frame, [0.1, 0.2, 0.05], budget=200)
+    fresh = objective_value(lbp.codes, frame, x, [0.1, 0.2, 0.05])
+    assert lbp.final_objective == pytest.approx(fresh, rel=1e-12)

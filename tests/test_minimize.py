@@ -152,7 +152,9 @@ def test_flat_map_matrix_equals_materialized_frame(spec):
     theta = fm.flatten(params)
     # equal entry for entry; only the sign of structural zeros may differ
     # (negated placed blocks hold -0.0 where the map's zeroed matrix holds 0.0)
-    assert np.array_equal(fm.matrix(theta), fm.st.build(params=params).materialize())
+    B, norms = fm.matrix(theta)
+    assert np.array_equal(B, fm.st.build(params=params).materialize())
+    assert np.array_equal(norms, np.linalg.norm(B, axis=0))
     back = fm.unflatten(theta)
     assert set(back) == set(params)
     for key in params:
