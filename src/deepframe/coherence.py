@@ -29,8 +29,8 @@ def _as_gram(obj) -> GramStructure:
     g = mat.T @ mat
     pattern = (np.abs(mat).T @ np.abs(mat)) > 0
     offdiag = int(pattern.sum()) - int(np.diagonal(pattern).sum())
-    return GramStructure(blocks={(0, 0): g}, col_dims=(mat.shape[1],),
-                         trace=float(np.trace(g)), offdiag_count=offdiag)
+    return GramStructure(blocks={(0, 0): g}, trace=float(np.trace(g)),
+                         offdiag_count=offdiag)
 
 
 def frame_potential(frame) -> float:

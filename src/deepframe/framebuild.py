@@ -3,11 +3,12 @@
 The induced operator is block lower triangular over (row group, layer)
 pairs: diagonal blocks enter with a positive sign, off-diagonal blocks are
 stored in their natural orientation and enter negated and transposed.
-Storage is block sparse (one dense array per structural block); a full
-dense matrix is materialized on demand only for small operators. What
-does not depend on parameter values (blocks, offsets, convolution index
-maps, Gram block pairs, the structural off-diagonal count) is compiled
-once per spec into a :class:`FrameStructure`, which values fill in.
+Storage is block sparse (a dense array per learnable block, a
+:class:`Diagonal` per identity coupling); a full dense matrix is
+materialized on demand only for small operators. What does not depend on
+parameter values (blocks, offsets, convolution index maps, Gram block
+pairs, the structural off-diagonal count) is compiled once per spec into
+a :class:`FrameStructure`, which values fill in.
 
 Convolution blocks are linear operators that place every filter at every
 output grid position (zero padding, "same"-style, window t starts at
@@ -108,14 +109,39 @@ def conv_gram_nonzeros(layer: LayerSpec) -> int:
 # the global operator
 
 
+@dataclass(eq=False)
+class Diagonal:
+    """A square block held as its diagonal ``d``: +-1 for an identity coupling,
+    +-1/norm after :func:`normalize`. ``D @ x`` scales the rows of a vector or
+    matrix, ``M @ D`` the columns of a matrix, ``D @ D`` is the product as a
+    dense matrix, and ``np.asarray(D)`` is the dense block."""
+
+    d: np.ndarray
+    __array_ufunc__ = None  # so ndarray @ Diagonal defers to __rmatmul__
+    T = property(lambda self: self)
+
+    def __matmul__(self, other):
+        if isinstance(other, Diagonal):
+            return np.diag(self.d * other.d)
+        return (self.d if np.ndim(other) == 1 else self.d[:, None]) * other
+
+    def __rmatmul__(self, other: np.ndarray) -> np.ndarray:
+        return other * self.d
+
+    def __truediv__(self, norms: np.ndarray) -> Diagonal:
+        return Diagonal(self.d / norms)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.diag(self.d).astype(dtype, copy=False)
+
+
 class FrameStructure:
     """The value-independent description of a spec's global operator.
 
     Holds the block table, the row/column offsets of every group, the row
     groups of each column group (``rows_of``) and the column groups of
-    each row group (``cols_of``), the positions of the identity-role
-    blocks (``identity``), the convolution index maps of the learnable
-    conv blocks, and, per Gram block pair (j, k) with j <= k,
+    each row group (``cols_of``), the convolution index maps of the
+    learnable conv blocks, and, per Gram block pair (j, k) with j <= k,
     the row groups both column groups touch (``shared``; pairs sharing
     none are absent). Parameter values only fill it in: see :meth:`build`.
     """
@@ -124,8 +150,6 @@ class FrameStructure:
         self.spec = spec
         self.blocks = tuple(block_table(spec))
         self.learnable = tuple(b for b in self.blocks if b.role == "learnable")
-        self.identity = frozenset((b.row, b.col) for b in self.blocks
-                                  if b.role == "identity")
         self.row_dims = spec.row_dims
         self.col_dims = spec.col_dims
         self.row_off = tuple(accumulate(self.row_dims, initial=0))
@@ -215,7 +239,8 @@ class FrameStructure:
         Either pass ``params`` (one array per learnable block, keyed by
         (j, k), stored orientation as in
         :func:`deepframe.archspec.block_table`) or a ``seed`` for Gaussian
-        initialization with per-block scale 1/sqrt(fan-in).
+        initialization with per-block scale 1/sqrt(fan-in). Missing,
+        misshapen, non-finite and unknown blocks are refused together.
         """
         if params is None:
             if seed is None:
@@ -232,18 +257,19 @@ class FrameStructure:
                     got = np.asarray(params[key]).shape
                     if got != want[key]:
                         errors.append(f"block {key}: expected shape {want[key]}, got {got}")
+                    elif not np.all(np.isfinite(params[key])):
+                        errors.append(f"block {key}: non-finite parameter values")
             for key in sorted(set(params) - set(want)):
                 errors.append(f"block {key}: spec has no learnable block there")
             if errors:
                 raise FrameBuildError("; ".join(errors))
             params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
-        placed: dict[tuple[int, int], np.ndarray] = {}
+        placed: dict[tuple[int, int], np.ndarray | Diagonal] = {}
         for b in self.blocks:
             key = (b.row, b.col)
             if b.role == "identity":
-                eye = np.eye(b.placed_shape[0])
-                placed[key] = eye if b.is_diagonal else -eye
+                placed[key] = Diagonal(np.full(b.placed_shape[0], 1.0 if b.is_diagonal else -1.0))
                 continue
             stored = params[key]
             if b.form == "conv":
@@ -284,11 +310,6 @@ def _overlap(a, b, n: int) -> np.ndarray:
     return (support_a @ support_b.T)[classes_a][:, classes_b]
 
 
-def frame_structure(spec: ArchitectureSpec) -> FrameStructure:
-    """Compile a spec's block geometry once; values are filled in by ``build``."""
-    return FrameStructure(spec)
-
-
 @dataclass
 class GlobalFrame:
     """A built global operator.
@@ -296,7 +317,8 @@ class GlobalFrame:
     ``structure`` is the value-independent :class:`FrameStructure` it was
     built from; ``params`` maps learnable block positions to their stored
     parameter arrays; ``placed`` maps every structural block position to
-    the actual (signed) dense submatrix of the operator. ``normalized``
+    the (signed) submatrix of the operator: a dense array for a learnable
+    block, a :class:`Diagonal` for an identity coupling. ``normalized``
     marks frames produced by :func:`normalize`, whose placed columns have
     unit norm and whose ``params`` are empty. ``step_sizes`` is a
     cache, not a constructor argument: :mod:`deepframe.inference` fills
@@ -306,7 +328,7 @@ class GlobalFrame:
 
     structure: FrameStructure
     params: dict[tuple[int, int], np.ndarray]
-    placed: dict[tuple[int, int], np.ndarray]
+    placed: dict[tuple[int, int], np.ndarray | Diagonal]
     normalized: bool = False
     step_sizes: dict[str, tuple[float, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -362,7 +384,7 @@ def build_global_frame(spec: ArchitectureSpec,
                        params: dict[tuple[int, int], np.ndarray] | None = None,
                        seed: int | None = None) -> GlobalFrame:
     """Assemble the global operator for a spec: see :meth:`FrameStructure.build`."""
-    return frame_structure(spec).build(params=params, seed=seed)
+    return FrameStructure(spec).build(params=params, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +395,20 @@ class NormalizationError(ValueError):
     """A global column had zero norm and cannot be normalized."""
 
 
-@dataclass
-class NormalizationState:
-    """Column-magnitude bookkeeping of a frame: ``col_norms[j]`` holds the
-    global column norms of group j."""
-
-    col_norms: dict[int, np.ndarray]
-
-
-def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
+def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, dict[int, np.ndarray]]:
     """Column-normalize the global operator.
 
     Returns a value-only frame (empty ``params``) whose placed blocks carry
-    unit global column norms, together with the column norms it divided by.
+    unit global column norms, together with the column norms it divided by
+    (``col_norms[j]`` for column group j).
     """
     col_norms: dict[int, np.ndarray] = {}
     for j in range(frame.depth):
-        total = np.zeros(frame.col_dims[j])
+        sq = np.zeros(frame.col_dims[j])
         for i in frame.structure.rows_of[j]:
             blk = frame.placed[(i, j)]
-            total += np.einsum("ij,ij->j", blk, blk)
-        norms = np.sqrt(total)
+            sq += blk.d * blk.d if isinstance(blk, Diagonal) else np.einsum("ij,ij->j", blk, blk)
+        norms = np.sqrt(sq)
         dead = np.nonzero(norms == 0.0)[0]
         if dead.size:
             raise NormalizationError(
@@ -408,7 +423,7 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, NormalizationState]:
     }
     normalized = GlobalFrame(structure=frame.structure, params={},
                              placed=placed, normalized=True)
-    return normalized, NormalizationState(col_norms=col_norms)
+    return normalized, col_norms
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +442,6 @@ class GramStructure:
     """
 
     blocks: dict[tuple[int, int], np.ndarray]
-    col_dims: tuple[int, ...]
     trace: float
     offdiag_count: int
 
@@ -440,46 +454,31 @@ class GramStructure:
 
 
 def gram(frame: GlobalFrame) -> GramStructure:
-    """G = B^T B computed block-pair-wise, without materializing B.
-
-    Identity-role blocks are diagonal (+-I, scaled by column norms after
-    :func:`normalize`), so their products are row or column scalings.
-    """
+    """G = B^T B computed block-pair-wise, without materializing B."""
     st = frame.structure
     blocks: dict[tuple[int, int], np.ndarray] = {}
     trace = 0.0
     for (j, k), rows in st.shared.items():
         acc = np.zeros((st.col_dims[j], st.col_dims[k]))
         for i in rows:
-            a, b = frame.placed[(i, j)], frame.placed[(i, k)]
-            if (i, j) in st.identity and (i, k) in st.identity:
-                # a strided view of acc's diagonal (acc is square here)
-                acc.reshape(-1)[::acc.shape[1] + 1] += np.diagonal(a) * np.diagonal(b)
-            elif (i, j) in st.identity:
-                acc += np.diagonal(a)[:, None] * b
-            elif (i, k) in st.identity:
-                acc += a.T * np.diagonal(b)
-            else:
-                acc += a.T @ b
+            acc += frame.placed[(i, j)].T @ frame.placed[(i, k)]
         blocks[(j, k)] = acc
         if j == k:
             trace += float(np.trace(acc))
-    return GramStructure(blocks=blocks, col_dims=st.col_dims,
-                         trace=trace, offdiag_count=st.offdiag_count)
+    return GramStructure(blocks=blocks, trace=trace, offdiag_count=st.offdiag_count)
 
 
 __all__ = [
+    "Diagonal",
     "FrameBuildError",
     "FrameStructure",
     "GlobalFrame",
     "GramStructure",
     "MATERIALIZE_COL_LIMIT",
     "NormalizationError",
-    "NormalizationState",
     "build_global_frame",
     "conv_gram_nonzeros",
     "conv_operator_entries",
-    "frame_structure",
     "gram",
     "normalize",
 ]

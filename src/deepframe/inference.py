@@ -343,8 +343,8 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
                     f"initial codes for layer {j} have length {arr.shape[0]}, "
                     f"expected {frame.col_dims[j]}"
                 )
-            if np.any(arr < 0):
-                raise ValueError(f"initial codes for layer {j} must be nonnegative")
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ValueError(f"initial codes for layer {j} must be finite and nonnegative")
             codes.append(arr.copy())
         res = _residual(frame, codes, x)
     objectives: list[float] = []

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .archspec import ArchitectureSpec
-from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, GlobalFrame,
-                         NormalizationError, frame_structure, refuse_dead_columns)
+from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, FrameStructure,
+                         GlobalFrame, NormalizationError, refuse_dead_columns)
 
 
 class MinimizeError(RuntimeError):
@@ -105,7 +105,7 @@ class _FlatMap:
     """
 
     def __init__(self, spec: ArchitectureSpec):
-        st = self.st = frame_structure(spec)
+        st = self.st = FrameStructure(spec)
         width = st.shape[1]
         if width > MATERIALIZE_COL_LIMIT:
             raise FrameBuildError(

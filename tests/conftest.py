@@ -79,8 +79,12 @@ def materialize_conv_operator(layer, filter_bank):
 
 
 def gram_full(g):
-    """The dense symmetric Gram matrix of a GramStructure's upper block triangle."""
-    offs = np.concatenate(([0], np.cumsum(g.col_dims))).astype(int)
+    """The dense symmetric Gram matrix of a GramStructure's upper block triangle.
+
+    Column group sizes are read off the diagonal blocks, which every frame has.
+    """
+    dims = [g.blocks[(j, j)].shape[0] for j in range(1 + max(k for _, k in g.blocks))]
+    offs = np.concatenate(([0], np.cumsum(dims))).astype(int)
     out = np.zeros((offs[-1], offs[-1]))
     for (j, k), blk in g.blocks.items():
         out[offs[j]:offs[j + 1], offs[k]:offs[k + 1]] = blk

@@ -212,6 +212,19 @@ def test_build_validates_param_keys_and_shapes():
         build_global_frame(spec, params=bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_refuses_non_finite_params(bad):
+    spec = fc_spec("chain", 3, [6, 5])
+    params = build_global_frame(spec, seed=0).params
+    params[(1, 1)][2, 3] = bad
+    with pytest.raises(FrameBuildError, match=r"block \(1, 1\): non-finite"):
+        build_global_frame(spec, params=params)
+    # refused together with the shape errors
+    params[(0, 0)] = np.zeros((2, 2))
+    with pytest.raises(FrameBuildError, match=r"\(0, 0\): expected shape.*\(1, 1\): non-finite"):
+        build_global_frame(spec, params=params)
+
+
 def test_build_rejects_zero_column():
     spec = fc_spec("chain", 3, [4])
     params = {(0, 0): np.ones((3, 4))}
@@ -241,7 +254,7 @@ def test_materialize_guard():
 def test_normalize_gives_unit_columns():
     spec = fc_spec("residual", 4, [6, 5, 6])
     frame = build_global_frame(spec, seed=2)
-    unit, state = normalize(frame)
+    unit, col_norms = normalize(frame)
     mat = unit.materialize()
     assert np.allclose(np.linalg.norm(mat, axis=0), 1.0, atol=1e-12)
     assert unit.params == {}
@@ -251,7 +264,7 @@ def test_normalize_gives_unit_columns():
     for j in range(frame.depth):
         lo = frame.structure.col_off[j]
         hi = lo + frame.col_dims[j]
-        assert np.allclose(state.col_norms[j],
+        assert np.allclose(col_norms[j],
                            np.linalg.norm(raw[:, lo:hi], axis=0))
 
 
@@ -359,7 +372,7 @@ def chain_gram_closed_form(frame):
     unnormalized frame.
     """
     depth = frame.depth
-    n = {j: np.sqrt(sum(np.sum(frame.placed[(i, j)] ** 2, axis=0)
+    n = {j: np.sqrt(sum(np.sum(np.asarray(frame.placed[(i, j)]) ** 2, axis=0)
                         for i in frame.structure.rows_of[j]))
          for j in range(depth)}
     out = {}

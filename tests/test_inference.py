@@ -255,6 +255,15 @@ def test_bcd_validates_init():
                       init=[np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0])])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_bcd_refuses_non_finite_init(bad):
+    spec = fc_spec("chain", 3, [4, 4])
+    frame = build_global_frame(spec, seed=0)
+    with pytest.raises(ValueError, match="layer 1 must be finite and nonnegative"):
+        bcd_inference(np.zeros(3), frame, 0.1,
+                      init=[np.zeros(4), np.array([1.0, bad, 0.0, 0.0])])
+
+
 def test_bcd_diverges_loudly(rng):
     spec = fc_spec("chain", 4, [8, 6])
     frame = build_global_frame(spec, seed=2)

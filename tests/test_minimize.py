@@ -186,7 +186,7 @@ def test_flat_map_sq_norm_sums_per_parameter_array(spec):
 
 def block_descent(spec, seed, opts):
     """Oracle descent on per-block parameter dicts, rebuilding the frame per evaluation."""
-    st = framebuild.frame_structure(spec)
+    st = framebuild.FrameStructure(spec)
 
     def evaluate(params):
         B = st.build(params=params).materialize()
@@ -244,7 +244,7 @@ def test_flat_map_refuses_dead_diagonal_column_like_build(spec, zero):
     params = fm.st.build(seed=0).params
     params[(0, 0)][zero] = 0.0
     # the identity coupling below keeps every global column of layer 0 alive
-    assert (1, 0) in fm.st.identity
+    assert {(b.row, b.col): b.role for b in fm.st.blocks}[(1, 0)] == "identity"
     with pytest.raises(FrameBuildError) as want:
         fm.st.build(params=params)
     with pytest.raises(FrameBuildError) as got:
