@@ -234,32 +234,33 @@ def cmd_rank(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    if args.gamma is not None and args.method != "bcd":
+        raise ValueError(f"--gamma sets the step size of --method bcd; "
+                         f"--method {args.method} takes no step size")
     spec = load_spec(args.spec)
     if args.params:
         frame = build_global_frame(spec, params=_load_params(args.params, spec))
     else:
         frame = build_global_frame(spec, seed=args.seed)
-    signals = load_signals(args.inputs, spec.input_dim)
-    records = []
-    for x in signals:
-        if args.method == "feed_forward":
-            res = feed_forward(x, frame, args.penalty)
-        elif args.method == "layered_bp":
-            res = layered_basis_pursuit(x, frame, args.penalty, budget=args.iters)
-        else:
-            res = bcd_inference(x, frame, args.penalty, cycles=args.iters,
+    batch = load_signals(args.inputs, spec.input_dim).T
+    if args.method == "feed_forward":
+        results = feed_forward(batch, frame, args.penalty)
+    elif args.method == "layered_bp":
+        results = layered_basis_pursuit(batch, frame, args.penalty, budget=args.iters)
+    else:
+        results = bcd_inference(batch, frame, args.penalty, cycles=args.iters,
                                 gamma="auto" if args.gamma is None else args.gamma)
-        records.append({
-            "final_objective": res.final_objective,
-            "objectives": res.objectives,
-            "sparsity": res.sparsity,
-            "codes": [w.tolist() for w in res.codes],
-            "wall_clock": res.wall_clock,
-        })
     payload = _envelope(args.seed if not args.params else None, [args.spec])
     payload["method"] = args.method
     payload["penalty"] = args.penalty
-    payload["results"] = records
+    payload["step_sizes"] = list(results[0].step_sizes)
+    payload["results"] = [{
+        "final_objective": res.final_objective,
+        "objectives": res.objectives,
+        "sparsity": res.sparsity,
+        "codes": [w.tolist() for w in res.codes],
+        "wall_clock": res.wall_clock,
+    } for res in results]
     _emit_json(payload, args.out)
     return 0
 
@@ -306,7 +307,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--lambda", dest="penalty", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=None,
-                   help="manual step size for bcd (default: safe automatic)")
+                   help="manual step size for bcd (default: safe automatic); "
+                        "refused with the other methods")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_infer)

@@ -114,11 +114,13 @@ class Diagonal:
     """A square block held as its diagonal ``d``: +-1 for an identity coupling,
     +-1/norm after :func:`normalize`. ``D @ x`` scales the rows of a vector or
     matrix, ``M @ D`` the columns of a matrix, ``D @ D`` is the product as a
-    dense matrix, and ``np.asarray(D)`` is the dense block."""
+    dense matrix, ``shape`` is the square block's, and ``np.asarray(D)`` is
+    the dense block."""
 
     d: np.ndarray
     __array_ufunc__ = None  # so ndarray @ Diagonal defers to __rmatmul__
     T = property(lambda self: self)
+    shape = property(lambda self: self.d.shape * 2)
 
     def __matmul__(self, other):
         if isinstance(other, Diagonal):
@@ -366,10 +368,6 @@ class GlobalFrame:
         for (i, j), blk in self.placed.items():
             out[st.row_off[i]:st.row_off[i + 1], st.col_off[j]:st.col_off[j + 1]] = blk
         return out
-
-    def column_block(self, j: int) -> np.ndarray:
-        """The stacked placed blocks of column group j (for operator norms)."""
-        return np.vstack([self.placed[(i, j)] for i in self.structure.rows_of[j]])
 
 
 def _init_block(b: BlockDef, rng: np.random.Generator) -> np.ndarray:

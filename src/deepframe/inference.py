@@ -1,6 +1,6 @@
 """Sparse inference over global operators.
 
-Three ways to produce per-layer codes for an input signal, from cheapest to
+Three ways to produce per-layer codes for input signals, from cheapest to
 most exact: a single thresholded forward pass, per-layer sparse coding
 down a chain, and block coordinate descent on the global objective
 
@@ -10,11 +10,19 @@ down a chain, and block coordinate descent on the global objective
 
 which is 1/2 ||B w - [x; 0; ...; 0]||^2 plus the penalty for the global
 operator B. All three are schedules of one nonnegative prox-linear block
-step on a kept residual R = B w - [x; 0; ...; 0], one vector per row
+step on a kept residual R = B w - [x; 0; ...; 0], one matrix per row
 group. A block step costs one product with its column block for the
 gradient and one for the residual update, and objectives are read off R.
 Block descent and the forward pass sweep the blocks in ascending order;
 layered pursuit takes many steps on one block before moving to the next.
+
+Every solver takes one signal as a vector or a batch of m signals as the
+columns of an (n x m) matrix, and runs both as a batch: codes of layer j
+are a (d_j x m) matrix and residuals of row group i an (r_i x m) one, so
+every signal of a batch shares each product with the operator. Signals
+never mix; objectives are per-signal column sums. A vector runs as a
+one-column batch and gets one result back, a matrix gets one result per
+column.
 
 The first sweep from zero codes reads only each block's own row: the rows
 below it are zero at the sweep's starting state. With unit steps that
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framebuild import GlobalFrame
+from .framebuild import Diagonal, GlobalFrame
 
 
 class UnsupportedMethodError(ValueError):
@@ -40,7 +48,7 @@ class UnsupportedMethodError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate went non-finite; the message names the failing cycle."""
+    """An iterate went non-finite; the message names the signal and the cycle."""
 
 
 def prox_nonneg_soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
@@ -54,21 +62,31 @@ def prox_nonneg_soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64) - lam, 0.0)
 
 
-def largest_sq_singular_value(mat: np.ndarray, tol: float = 1e-13,
+def largest_sq_singular_value(*blocks, tol: float = 1e-13,
                               max_iters: int = 300) -> float:
-    """Largest eigenvalue of mat^T mat by power iteration.
+    """Power-iteration estimate of the largest eigenvalue of sum_i P_i^T P_i.
 
-    Deterministic start (ones vector, then a fixed perturbation if that
-    lands in a null space). The estimate converges from below for the
-    dominant eigenvalue, so callers that need a guaranteed bound should
-    inflate it slightly; see :func:`safe_step`.
+    ``blocks`` share one column count and stand for their column stack
+    [P_0; P_1; ...], which is never formed: a round applies
+    v -> sum_i P_i^T (P_i v), so a :class:`Diagonal` block costs d*(d*v).
+    The start is deterministic (the ones vector, then a fixed perturbation
+    if that lands in a null space). Each estimate is a Rayleigh quotient,
+    hence a lower bound on the eigenvalue up to rounding. The loop stops
+    when two successive estimates agree to ``tol``, or after ``max_iters``
+    rounds; when the top of the spectrum is nearly degenerate it stops
+    there, and the estimate can sit far more than ``tol`` below.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[1]
+    blocks = [b if isinstance(b, Diagonal) else np.asarray(b, dtype=np.float64)
+              for b in blocks]
+    n = blocks[0].shape[1]
     if n == 0:
         return 0.0
+
+    def gram_times(v):
+        return sum(b.T @ (b @ v) for b in blocks)
+
     v = np.ones(n) / math.sqrt(n)
-    w = mat.T @ (mat @ v)
+    w = gram_times(v)
     prev = 0.0
     for it in range(max_iters):
         norm = np.linalg.norm(w)
@@ -76,11 +94,11 @@ def largest_sq_singular_value(mat: np.ndarray, tol: float = 1e-13,
             if it == 0:
                 v = np.arange(1.0, n + 1.0)
                 v /= np.linalg.norm(v)
-                w = mat.T @ (mat @ v)
+                w = gram_times(v)
                 continue
             return 0.0
         v = w / norm
-        w = mat.T @ (mat @ v)
+        w = gram_times(v)
         est = float(v @ w)
         if abs(est - prev) <= tol * max(est, 1.0):
             return est
@@ -91,9 +109,18 @@ def largest_sq_singular_value(mat: np.ndarray, tol: float = 1e-13,
 STEP_MARGIN = 1.0 + 1e-6
 
 
-def safe_step(mat: np.ndarray) -> float:
-    """A step size certainly below 1/L for gradients of 1/2||mat w - y||^2."""
-    lip = largest_sq_singular_value(mat)
+def safe_step(*blocks) -> float:
+    """Step 1/(L' * STEP_MARGIN) for gradients of 1/2||P w - y||^2.
+
+    P is the column stack of ``blocks`` (see
+    :func:`largest_sq_singular_value`) and L' the power-iteration lower
+    bound on its Lipschitz constant L = ||P||^2. The margin covers a
+    converged estimate, but an estimate stopped at ``max_iters`` can sit
+    further below L than the margin, and the step then exceeds 1/L by
+    that gap. Any step below 2/L still makes each prox-linear step
+    decrease the objective, which is what block descent relies on.
+    """
+    lip = largest_sq_singular_value(*blocks)
     if lip == 0.0:
         return 1.0
     return 1.0 / (lip * STEP_MARGIN)
@@ -101,11 +128,14 @@ def safe_step(mat: np.ndarray) -> float:
 
 @dataclass
 class InferenceResult:
-    """Codes plus bookkeeping from one inference run.
+    """Codes plus bookkeeping from one inference run on one signal.
 
     ``objectives`` records the global objective after every cycle of block
     descent, or once at the end for the forward pass and layered pursuit;
-    ``sparsity`` is the fraction of exactly-zero entries per layer.
+    ``sparsity`` is the fraction of exactly-zero entries per layer;
+    ``step_sizes`` are the per-layer steps the run took. A batch run
+    shares its step sizes and splits its wall-clock time evenly over its
+    signals.
     """
 
     codes: list[np.ndarray]
@@ -113,10 +143,15 @@ class InferenceResult:
     sparsity: list[float]
     wall_clock: float
     method: str
+    step_sizes: tuple[float, ...]
 
     @property
     def final_objective(self) -> float:
         return self.objectives[-1]
+
+
+# one result for a signal given as a vector, a list of them for a batch
+Results = InferenceResult | list[InferenceResult]
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +172,29 @@ def _per_layer(value, depth: int, what: str) -> list[float]:
 
 
 def _check_input(frame: GlobalFrame, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    """The signals as an (n x m) matrix; a vector is one column."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"signals must be a vector or an (n x m) matrix, got {x.ndim}-D")
     if x.shape[0] != frame.row_dims[0]:
         raise ValueError(
             f"input has dimension {x.shape[0]}, frame expects {frame.row_dims[0]}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input signal has non-finite entries")
+    x = x.reshape(x.shape[0], -1)
+    if x.shape[1] == 0:
+        raise ValueError("the signal batch is empty")
+    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
+    if bad.size:
+        raise ValueError(f"input signals {bad.tolist()} have non-finite entries")
     return x
 
 
 def _residual(frame: GlobalFrame, codes: list[np.ndarray],
               x: np.ndarray) -> list[np.ndarray]:
-    """Per row group i, sum_k placed[(i, k)] @ w_k, minus x on row 0."""
+    """Per row group i, sum_k placed[(i, k)] @ W_k, minus X on row 0."""
     res = []
     for i in range(frame.depth):
-        r = -x if i == 0 else np.zeros(frame.row_dims[i])
+        r = -x if i == 0 else np.zeros((frame.row_dims[i], x.shape[1]))
         for k in frame.structure.cols_of[i]:
             r += frame.placed[(i, k)] @ codes[k]
         res.append(r)
@@ -160,28 +202,33 @@ def _residual(frame: GlobalFrame, codes: list[np.ndarray],
 
 
 def _zero_start(frame: GlobalFrame, x: np.ndarray):
-    """All-zero codes and their residual [-x, 0, ..., 0]."""
-    codes = [np.zeros(d) for d in frame.col_dims]
-    res = [-x] + [np.zeros(d) for d in frame.row_dims[1:]]
+    """All-zero codes and their residual [-X, 0, ..., 0]."""
+    m = x.shape[1]
+    codes = [np.zeros((d, m)) for d in frame.col_dims]
+    res = [-x] + [np.zeros((d, m)) for d in frame.row_dims[1:]]
     return codes, res
 
 
 def _objective(res: list[np.ndarray], codes: list[np.ndarray],
-               lams: list[float]) -> float:
-    """The penalty plus 1/2 ||R||^2 for codes known to be nonnegative."""
-    total = 0.0
-    for lam, w in zip(lams, codes):
-        total += lam * float(np.sum(w))
+               lams: list[float]) -> np.ndarray:
+    """Per signal, the penalty plus 1/2 ||R||^2 for codes known to be nonnegative.
+
+    Each column is summed as a vector of its own, so a one-column batch
+    gives the same value as that signal's vector.
+    """
+    total = np.zeros(codes[0].shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
+        for lam, w in zip(lams, codes):
+            total += lam * w.sum(axis=0)
         for r in res:
-            total += 0.5 * float(r @ r)
+            total += 0.5 * np.array([col @ col for col in r.T])
     return total
 
 
 def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
                     x: np.ndarray, lam) -> float:
     """The global objective at the given codes; inf if any entry is negative."""
-    x = _check_input(frame, x)
+    x = _check_input(frame, np.asarray(x, dtype=np.float64).reshape(-1))
     lams = _per_layer(lam, frame.depth, "penalty weights")
     if len(codes) != frame.depth:
         raise ValueError(f"expected {frame.depth} code vectors, got {len(codes)}")
@@ -193,9 +240,10 @@ def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
             )
         if np.any(w < 0):
             return math.inf
+    codes = [w[:, None] for w in codes]
     with np.errstate(over="ignore", invalid="ignore"):
         res = _residual(frame, codes, x)
-    return _objective(res, codes, lams)
+    return float(_objective(res, codes, lams)[0])
 
 
 def _block_step(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
@@ -204,7 +252,7 @@ def _block_step(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarra
 
     The gradient is sum_i placed[(i, j)]^T R_i over ``grad_rows``; after
     the step each row in ``update_rows`` absorbs placed[(i, j)] @ (change
-    in w_j). Rows of block j left out of ``update_rows`` go stale, and the
+    in W_j). Rows of block j left out of ``update_rows`` go stale, and the
     caller owes them that change.
     """
     grad = sum(frame.placed[(i, j)].T @ res[i] for i in grad_rows)
@@ -227,11 +275,20 @@ def _sweep(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
                     steps[j], lams[j])
 
 
-def _sparsity(codes: list[np.ndarray]) -> list[float]:
-    return [float(np.mean(w == 0.0)) for w in codes]
+def _results(x, codes: list[np.ndarray], objectives: list[np.ndarray],
+             steps, start: float, method: str) -> Results:
+    """One result per signal; a single one when the signals came as a vector."""
+    m = codes[0].shape[1]
+    wall = (time.perf_counter() - start) / m
+    out = [InferenceResult(codes=[w[:, s].copy() for w in codes],
+                           objectives=[float(obj[s]) for obj in objectives],
+                           sparsity=[float(np.mean(w[:, s] == 0.0)) for w in codes],
+                           wall_clock=wall, method=method, step_sizes=tuple(steps))
+           for s in range(m)]
+    return out[0] if np.ndim(x) == 1 else out
 
 
-def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> InferenceResult:
+def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> Results:
     """One thresholded forward pass through the architecture.
 
     Layer by layer, w_j = prox(B_jj^T u_j, lam_j) where u_j collects the
@@ -239,20 +296,21 @@ def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> InferenceResult:
     this is w_j = prox(B_j^T w_{j-1}); skip structures accumulate their
     extra couplings into u_j first. This is the own-row sweep of
     :func:`bcd_inference` from zero codes with unit steps, u_j = -R_j.
+    ``x`` is one signal (one :class:`InferenceResult` back) or an (n x m)
+    batch of signal columns (a list of m results).
     """
     start = time.perf_counter()
-    x = _check_input(frame, x)
+    signals = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
-    codes, res = _zero_start(frame, x)
-    _sweep(frame, codes, res, [1.0] * frame.depth, lams, own_row_only=True)
-    return InferenceResult(codes=codes, objectives=[_objective(res, codes, lams)],
-                           sparsity=_sparsity(codes),
-                           wall_clock=time.perf_counter() - start,
-                           method="feed_forward")
+    steps = [1.0] * frame.depth
+    codes, res = _zero_start(frame, signals)
+    _sweep(frame, codes, res, steps, lams, own_row_only=True)
+    return _results(x, codes, [_objective(res, codes, lams)], steps, start,
+                    "feed_forward")
 
 
 def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
-                          budget: int = 100) -> InferenceResult:
+                          budget: int = 100) -> Results:
     """Solve a chain layer by layer, each to its own optimum.
 
     Layer j's codes solve the shallow problem min 1/2||B_jj w - t||^2 +
@@ -261,7 +319,8 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
     a step just under 1/L of B_jj (computed once per frame), which is
     nonnegative ISTA. On a depth-1 chain this is single-layer ISTA. The
     coupling row below absorbs layer j's final codes once, so layer j+1's
-    target is exactly w_j. Only defined for chain connectivity.
+    target is exactly w_j. Only defined for chain connectivity. ``x`` is
+    one signal or a batch of columns, as for :func:`feed_forward`.
     """
     start = time.perf_counter()
     if not frame.spec.is_chain:
@@ -269,28 +328,26 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
             "layered basis pursuit is defined layer-by-layer on chains; "
             f"this spec has {frame.spec.connectivity.kind!r} connectivity"
         )
-    x = _check_input(frame, x)
+    signals = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")
-    steps = _cached_steps(frame, "diagonal", lambda j: frame.placed[(j, j)])
-    codes, res = _zero_start(frame, x)
+    steps = _cached_steps(frame, "diagonal", lambda j: [frame.placed[(j, j)]])
+    codes, res = _zero_start(frame, signals)
     for j, rows in enumerate(frame.structure.rows_of):
         for _ in range(budget):
             _block_step(frame, codes, res, j, (j,), (j,), steps[j], lams[j])
         for i in rows[1:]:
             res[i] += frame.placed[(i, j)] @ codes[j]
-    return InferenceResult(codes=codes, objectives=[_objective(res, codes, lams)],
-                           sparsity=_sparsity(codes),
-                           wall_clock=time.perf_counter() - start,
-                           method="layered_bp")
+    return _results(x, codes, [_objective(res, codes, lams)], steps, start,
+                    "layered_bp")
 
 
-def _cached_steps(frame: GlobalFrame, kind: str, operator) -> tuple[float, ...]:
-    """Per-layer :func:`safe_step` of ``operator(j)``, computed once per frame."""
+def _cached_steps(frame: GlobalFrame, kind: str, blocks) -> tuple[float, ...]:
+    """Per-layer :func:`safe_step` of the blocks ``blocks(j)``, computed once per frame."""
     steps = frame.step_sizes.get(kind)
     if steps is None:
-        steps = tuple(safe_step(operator(j)) for j in range(frame.depth))
+        steps = tuple(safe_step(*blocks(j)) for j in range(frame.depth))
         frame.step_sizes[kind] = steps
     return steps
 
@@ -298,14 +355,16 @@ def _cached_steps(frame: GlobalFrame, kind: str, operator) -> tuple[float, ...]:
 def block_step_sizes(frame: GlobalFrame) -> tuple[float, ...]:
     """Automatic per-layer steps, just under 1/L_j of each column block.
 
-    Computed once per frame and reused by later calls.
+    Column block j is the stack of the placed blocks of column group j;
+    the power iteration runs on the blocks as placed. Computed once per
+    frame and reused by later calls.
     """
-    return _cached_steps(frame, "column", frame.column_block)
+    return _cached_steps(frame, "column", lambda j: [
+        frame.placed[(i, j)] for i in frame.structure.rows_of[j]])
 
 
 def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
-                  gamma="auto",
-                  init: Sequence[np.ndarray] | None = None) -> InferenceResult:
+                  gamma="auto", init: Sequence[np.ndarray] | None = None) -> Results:
     """Block coordinate descent on the global objective.
 
     Cycles sweep the layers in ascending order, keeping the residual
@@ -314,11 +373,14 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
     single sweep with gamma=1 coincide exactly with :func:`feed_forward`;
     subsequent sweeps use full partial gradients. ``gamma`` is ``"auto"``
     (per-layer steps just under 1/L_j), a scalar, or a per-layer
-    sequence. ``init`` replaces the default all-zero starting codes with
-    per-layer arrays; a custom start takes full sweeps from the first one.
+    sequence. ``x`` is one signal or a batch of columns, as for
+    :func:`feed_forward`. ``init`` replaces the default all-zero starting
+    codes with per-layer arrays, shaped like the codes (a vector per layer
+    for one signal, a (d_j x m) matrix for a batch); a custom start takes
+    full sweeps from the first one.
     """
     start = time.perf_counter()
-    x = _check_input(frame, x)
+    signals = _check_input(frame, x)
     depth = frame.depth
     lams = _per_layer(lam, depth, "penalty weights")
     if cycles < 1:
@@ -331,37 +393,39 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
         steps = _per_layer(gamma, depth, "step sizes")
 
     if init is None:
-        codes, res = _zero_start(frame, x)
+        codes, res = _zero_start(frame, signals)
     else:
         if len(init) != depth:
             raise ValueError(f"expected {depth} initial code blocks, got {len(init)}")
+        single = np.ndim(x) == 1
         codes = []
         for j, block in enumerate(init):
-            arr = np.asarray(block, dtype=float).reshape(-1)
-            if arr.shape[0] != frame.col_dims[j]:
-                raise ValueError(
-                    f"initial codes for layer {j} have length {arr.shape[0]}, "
-                    f"expected {frame.col_dims[j]}"
-                )
+            d = frame.col_dims[j]
+            arr = np.asarray(block, dtype=float)
+            shape = (d,) if single else (d, signals.shape[1])
+            if single:
+                arr = arr.reshape(-1)
+            if arr.shape != shape:
+                raise ValueError(f"initial codes for layer {j} have shape {arr.shape}, "
+                                 f"expected {shape} (length {d} per signal)")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"initial codes for layer {j} must be finite and nonnegative")
-            codes.append(arr.copy())
-        res = _residual(frame, codes, x)
-    objectives: list[float] = []
+            codes.append(arr.reshape(d, -1).copy())
+        res = _residual(frame, codes, signals)
+    objectives: list[np.ndarray] = []
 
     for cycle in range(cycles):
         _sweep(frame, codes, res, steps, lams,
                own_row_only=cycle == 0 and init is None)
         # a non-finite code makes the penalty, hence the objective, non-finite
         obj = _objective(res, codes, lams)
-        if not math.isfinite(obj):
-            raise DivergenceError(f"iterates went non-finite at cycle {cycle + 1}")
+        bad = np.flatnonzero(~np.isfinite(obj))
+        if bad.size:
+            raise DivergenceError(
+                f"iterates of signal {bad[0]} went non-finite at cycle {cycle + 1}")
         objectives.append(obj)
 
-    return InferenceResult(codes=codes, objectives=objectives,
-                           sparsity=_sparsity(codes),
-                           wall_clock=time.perf_counter() - start,
-                           method="bcd")
+    return _results(x, codes, objectives, steps, start, "bcd")
 
 
 __all__ = [

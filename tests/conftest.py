@@ -78,6 +78,11 @@ def materialize_conv_operator(layer, filter_bank):
     return mat
 
 
+def column_block(frame, j):
+    """The stacked placed blocks of column group j, as one dense matrix."""
+    return np.vstack([np.asarray(frame.placed[(i, j)]) for i in frame.structure.rows_of[j]])
+
+
 def gram_full(g):
     """The dense symmetric Gram matrix of a GramStructure's upper block triangle.
 

@@ -198,10 +198,8 @@ def test_infer_bcd_improves_on_feed_forward(specdir, tmp_path):
         assert a["final_objective"] <= b["final_objective"] + 1e-12
 
 
-def run_counting_safe_step(tmp_path, monkeypatch, method, n_signals):
-    """Run infer on a depth-2 chain; return its results and safe_step shapes."""
-    import deepframe.inference as inference
-
+def two_layer_chain(tmp_path, n_signals):
+    """A depth-2 FC chain spec and a CSV of ``n_signals`` signals for it."""
     spec = tmp_path / "two.json"
     spec.write_text(json.dumps({
         "input_dim": 3,
@@ -210,12 +208,21 @@ def run_counting_safe_step(tmp_path, monkeypatch, method, n_signals):
         "connectivity": "chain"}))
     write_csv(tmp_path / "x.csv",
               np.random.default_rng(5).normal(size=(n_signals, 3)))
+    return spec
+
+
+def run_counting_safe_step(tmp_path, monkeypatch, method, n_signals):
+    """Run infer on a depth-2 chain; return its results and, per safe_step
+    call, the shapes of the blocks it was given."""
+    import deepframe.inference as inference
+
+    spec = two_layer_chain(tmp_path, n_signals)
     calls = []
     real = inference.safe_step
 
-    def counting(mat):
-        calls.append(mat.shape)
-        return real(mat)
+    def counting(*blocks):
+        calls.append(tuple(b.shape for b in blocks))
+        return real(*blocks)
 
     monkeypatch.setattr(inference, "safe_step", counting)
     out = tmp_path / "out.json"
@@ -225,16 +232,73 @@ def run_counting_safe_step(tmp_path, monkeypatch, method, n_signals):
 
 
 def test_infer_bcd_estimates_steps_once_per_frame(tmp_path, monkeypatch):
+    # one step per column block: layer 0's own block over its identity coupling
     results, calls = run_counting_safe_step(tmp_path, monkeypatch, "bcd", 3)
     assert len(results) == 3
-    assert len(calls) == 2
+    assert calls == [((3, 5), (5, 5)), ((5, 4),)]
 
 
 def test_infer_layered_bp_estimates_steps_once_per_frame(tmp_path, monkeypatch):
     # one step per diagonal block, shared by every signal
     results, calls = run_counting_safe_step(tmp_path, monkeypatch, "layered_bp", 4)
     assert len(results) == 4
-    assert calls == [(3, 5), (5, 4)]
+    assert calls == [((3, 5),), ((5, 4),)]
+
+
+@pytest.mark.parametrize("method,solver", [("feed_forward", "feed_forward"),
+                                           ("layered_bp", "layered_basis_pursuit"),
+                                           ("bcd", "bcd_inference")])
+def test_infer_solves_every_signal_in_one_call(tmp_path, monkeypatch, method, solver):
+    import deepframe.cli as cli
+
+    spec = two_layer_chain(tmp_path, 3)
+    calls = []
+    real = getattr(cli, solver)
+
+    def counting(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(cli, solver, counting)
+    out = tmp_path / "out.json"
+    assert main(["infer", str(spec), str(tmp_path / "x.csv"), "--method", method,
+                 "--iters", "20", "--out", str(out)]) == 0
+    assert calls == [(3, 3)]
+    assert len(json.loads(out.read_text())["results"]) == 3
+
+
+@pytest.mark.parametrize("method,gamma", [("bcd", None), ("bcd", 0.05),
+                                          ("layered_bp", None), ("feed_forward", None)])
+def test_infer_reports_step_sizes(tmp_path, method, gamma):
+    from deepframe.archspec import load_spec
+    from deepframe.framebuild import build_global_frame
+    from deepframe.inference import block_step_sizes, safe_step
+
+    spec = two_layer_chain(tmp_path, 2)
+    out = tmp_path / "out.json"
+    argv = ["infer", str(spec), str(tmp_path / "x.csv"), "--method", method,
+            "--iters", "20", "--seed", "3", "--out", str(out)]
+    if gamma is not None:
+        argv += ["--gamma", str(gamma)]
+    assert main(argv) == 0
+    frame = build_global_frame(load_spec(spec), seed=3)
+    want = {
+        ("bcd", None): list(block_step_sizes(frame)),
+        ("bcd", 0.05): [0.05, 0.05],
+        ("layered_bp", None): [safe_step(frame.placed[(j, j)]) for j in range(2)],
+        ("feed_forward", None): [1.0, 1.0],
+    }[(method, gamma)]
+    assert json.loads(out.read_text())["step_sizes"] == want
+
+
+@pytest.mark.parametrize("method", ["feed_forward", "layered_bp"])
+def test_infer_refuses_gamma_without_bcd(specdir, tmp_path, capsys, method):
+    write_csv(tmp_path / "x.csv", np.array([[0.3, 0.9]]))
+    assert main(["infer", str(specdir / "tri.json"), str(tmp_path / "x.csv"),
+                 "--method", method, "--gamma", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--gamma" in captured.err and f"--method {method}" in captured.err
 
 
 def test_infer_accepts_binary_container(specdir, tmp_path, capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deepframe.framebuild import Diagonal, GlobalFrame, build_global_frame, gram, normalize
-from deepframe.inference import bcd_inference, feed_forward, layered_basis_pursuit
+from deepframe.inference import (bcd_inference, block_step_sizes, feed_forward,
+                                 layered_basis_pursuit, safe_step)
 
-from conftest import conv_spec, fc_spec
+from conftest import column_block, conv_spec, fc_spec
 
 SPECS = [
     pytest.param(fc_spec("chain", 5, [8, 6, 4]), id="fc-chain"),
@@ -87,11 +88,12 @@ def test_inference_matches_densified(spec, rng):
             assert np.array_equal(a, b)
 
 
+def refuse(self, dtype=None, copy=None):
+    raise AssertionError("a Diagonal block was densified")
+
+
 @pytest.mark.parametrize("spec", SPECS)
 def test_hot_paths_never_densify(spec, rng, monkeypatch):
-    def refuse(self, dtype=None, copy=None):
-        raise AssertionError("a Diagonal block was densified")
-
     frame = build_global_frame(spec, seed=3)
     monkeypatch.setattr(Diagonal, "__array__", refuse)
     unit, _ = normalize(frame)
@@ -101,3 +103,13 @@ def test_hot_paths_never_densify(spec, rng, monkeypatch):
     bcd_inference(x, unit, 0.05, cycles=5, gamma=0.1)
     if spec.is_chain:
         layered_basis_pursuit(x, unit, 0.05, budget=5)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_block_steps_match_stacked_oracle_without_densifying(spec, monkeypatch):
+    for frame in (build_global_frame(spec, seed=4), normalize(build_global_frame(spec, seed=4))[0]):
+        want = [safe_step(column_block(frame, j)) for j in range(frame.depth)]
+        with monkeypatch.context() as patch:
+            patch.setattr(Diagonal, "__array__", refuse)
+            got = block_step_sizes(frame)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deepframe.framebuild import GlobalFrame, build_global_frame
+from deepframe.framebuild import Diagonal, GlobalFrame, build_global_frame, normalize
 from deepframe.inference import (
     DivergenceError,
     UnsupportedMethodError,
@@ -19,7 +19,7 @@ from deepframe.inference import (
     safe_step,
 )
 
-from conftest import fc_spec
+from conftest import column_block, conv_spec, fc_spec
 
 
 def grid_prox_oracle(v, lam, step=1e-4):
@@ -104,6 +104,29 @@ def test_largest_sq_singular_value_matches_svd(rng):
 ])
 def test_largest_sq_singular_value_null_start(mat, want):
     assert largest_sq_singular_value(np.array(mat)) == pytest.approx(want, rel=1e-12)
+
+
+def test_largest_sq_singular_value_stays_below_eigvalsh_at_max_iters(rng):
+    # a nearly degenerate top of the spectrum: the iteration runs out of
+    # rounds before two estimates agree, and stops below the eigenvalue
+    for gap in (1e-3, 3e-4, 1e-4):
+        u, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        sing = np.sqrt(np.array([1.0, 1.0 - gap, 1.0 - 2 * gap, 0.5, 0.4, 0.3, 0.2, 0.1]))
+        mat = u[:, :8] * sing @ v.T
+        top = np.linalg.eigvalsh(mat.T @ mat)[-1]
+        est = largest_sq_singular_value(mat)
+        assert est <= top
+        assert est < largest_sq_singular_value(mat, max_iters=300_000)
+        assert est == largest_sq_singular_value(mat, max_iters=300, tol=0.0)
+
+
+def test_largest_sq_singular_value_of_blocks_is_that_of_their_stack(rng):
+    blocks = [rng.normal(size=(4, 6)), Diagonal(rng.normal(size=6)), rng.normal(size=(3, 6))]
+    stacked = np.vstack([np.asarray(b) for b in blocks])
+    got, want = largest_sq_singular_value(*blocks), largest_sq_singular_value(stacked)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert safe_step(*blocks) == pytest.approx(safe_step(stacked), rel=1e-12)
 
 
 def test_safe_step_is_below_lipschitz(rng):
@@ -285,7 +308,7 @@ def test_block_step_sizes_cover_column_blocks():
     frame = build_global_frame(spec, seed=1)
     steps = block_step_sizes(frame)
     for j, step in enumerate(steps):
-        blk = frame.column_block(j)
+        blk = column_block(frame, j)
         lip = float(np.linalg.svd(blk, compute_uv=False)[0] ** 2)
         assert step < 1.0 / lip
 
@@ -355,3 +378,81 @@ def test_layered_bp_objective_matches_fresh(rng):
     lbp = layered_basis_pursuit(x, frame, [0.1, 0.2, 0.05], budget=200)
     fresh = objective_value(lbp.codes, frame, x, [0.1, 0.2, 0.05])
     assert lbp.final_objective == pytest.approx(fresh, rel=1e-12)
+
+
+# --- batches of signals -------------------------------------------------------
+
+BATCH_SPECS = [
+    pytest.param(fc_spec("chain", 5, [8, 6, 4]), id="fc-chain"),
+    pytest.param(fc_spec("residual", 4, [6, 5, 6]), id="fc-residual"),
+    pytest.param(fc_spec("dense", 4, [6, 5, 3]), id="fc-dense"),
+    pytest.param(conv_spec("chain", 2, 4, [3, 3]), id="conv-chain"),
+]
+
+
+def batch_runs(spec):
+    """Each method as a function of (signals, frame), on the specs it applies to."""
+    runs = {"feed_forward": lambda x, f: feed_forward(x, f, 0.05),
+            "bcd": lambda x, f: bcd_inference(x, f, 0.05, cycles=40),
+            "bcd_gamma": lambda x, f: bcd_inference(x, f, 0.05, cycles=40, gamma=0.1)}
+    if spec.is_chain:
+        runs["layered_bp"] = lambda x, f: layered_basis_pursuit(x, f, 0.05, budget=40)
+    return runs
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_one_column_batch_equals_vector_call(spec, rng):
+    frame, _ = normalize(build_global_frame(spec, seed=5))
+    x = rng.normal(size=frame.row_dims[0])
+    for name, run in batch_runs(spec).items():
+        single = run(x, frame)
+        [batch] = run(x[:, None], frame)
+        assert batch.objectives == single.objectives, name
+        assert batch.sparsity == single.sparsity, name
+        assert batch.step_sizes == single.step_sizes, name
+        for a, b in zip(batch.codes, single.codes):
+            assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_batch_columns_match_their_own_solves(spec, rng):
+    frame, _ = normalize(build_global_frame(spec, seed=6))
+    signals = rng.normal(size=(frame.row_dims[0], 5))
+    for name, run in batch_runs(spec).items():
+        batch = run(signals, frame)
+        assert len(batch) == 5
+        for s, got in enumerate(batch):
+            want = run(signals[:, s], frame)
+            assert len(got.objectives) == len(want.objectives)
+            for a, b in zip(got.objectives, want.objectives):
+                assert a == pytest.approx(b, rel=1e-12), name
+            for a, b in zip(got.codes, want.codes):
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-14, name
+
+
+def test_diverging_batch_names_its_signal_and_cycle(rng):
+    frame = build_global_frame(fc_spec("chain", 4, [8, 6]), seed=2)
+    x = rng.normal(size=4)
+    with pytest.raises(DivergenceError) as alone:
+        bcd_inference(x, frame, 0.01, cycles=400, gamma=50.0)
+    cycle = str(alone.value).split("cycle ")[1]
+    signals = np.zeros((4, 4))
+    signals[:, 2] = x
+    with pytest.raises(DivergenceError, match=f"signal 2 went non-finite at cycle {cycle}$"):
+        bcd_inference(signals, frame, 0.01, cycles=400, gamma=50.0)
+
+
+def test_batch_refusals_name_the_signal():
+    frame = build_global_frame(fc_spec("chain", 3, [4, 4]), seed=0)
+    signals = np.zeros((3, 4))
+    signals[1, 3] = np.nan
+    with pytest.raises(ValueError, match=r"signals \[3\] have non-finite"):
+        feed_forward(signals, frame, 0.1)
+    with pytest.raises(ValueError, match="empty"):
+        feed_forward(np.zeros((3, 0)), frame, 0.1)
+    with pytest.raises(ValueError, match="initial codes for layer 0"):
+        bcd_inference(np.zeros((3, 2)), frame, 0.1, init=[np.zeros(4), np.zeros(4)])
+    warm = [np.full((4, 2), 0.5), np.zeros((4, 2))]
+    res = bcd_inference(np.zeros((3, 2)), frame, 0.1, cycles=5, init=warm)
+    assert len(res) == 2
