@@ -15,7 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .framebuild import GlobalFrame, GramStructure, gram, normalize
+from .framebuild import Convolution, GlobalFrame, GramStructure, gram, normalize
+
+
+def _columns(blk):
+    """A learnable diagonal block, or the packed columns of a conv one."""
+    return blk.packed_columns() if isinstance(blk, Convolution) else blk
 
 
 def _as_gram(obj) -> GramStructure:
@@ -267,7 +272,7 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
         normalized = frame
         chain_mags = None
     else:
-        chain_mags = [np.linalg.norm(frame.placed[(j, j)], axis=0)
+        chain_mags = [np.linalg.norm(_columns(frame.placed[(j, j)]), axis=0)
                       for j in range(frame.depth)] if spec.is_chain else None
         normalized = normalize(frame)[0]
     g = gram(normalized)

@@ -3,10 +3,12 @@
 The induced operator is block lower triangular over (row group, layer)
 pairs: diagonal blocks enter with a positive sign, off-diagonal blocks are
 stored in their natural orientation and enter negated and transposed.
-Storage is block sparse (a dense array per learnable block, a
-:class:`Diagonal` per identity coupling); a full dense matrix is
-materialized on demand only for small operators. What does not depend on
-parameter values (blocks, offsets, convolution index maps, Gram block
+Storage is block sparse, one typed block per structural position: a dense
+array per learnable dense block, a :class:`Diagonal` per identity coupling
+and a :class:`Convolution` (the filter bank, applied through gather maps)
+per learnable conv block. A full dense matrix is materialized on demand
+only for small operators. What does not depend on parameter values
+(blocks, offsets, convolution geometries and their index maps, Gram block
 pairs, the structural off-diagonal count) is compiled once per spec into
 a :class:`FrameStructure`, which values fill in.
 
@@ -51,41 +53,20 @@ def conv_operator_entries(channels: int, filters: int, spatial: int,
     filter_bank.flat[taps[i]]. Window positions falling outside the grid
     are dropped (zero padding). Entries are ordered by filter, then output
     position, then channel, then tap (row-major over every grid axis), so
-    reductions over ``taps`` sum in a fixed order. Results are cached per
-    geometry and shared; callers must not modify the returned arrays.
+    reductions over ``taps`` sum in a fixed order. They are read off the
+    geometry's ``corr_map`` (see :class:`ConvGeometry`). Results are cached
+    per geometry and shared; callers must not modify the returned arrays.
     """
     if ndim not in (1, 2):
         raise ValueError(f"ndim must be 1 or 2, got {ndim}")
-    p, f, s = spatial, filter_size, stride
-    q = -(-p // s)
-    pad = (f - 1) // 2
-    # broadcast grid over (filter, position..., channel, tap...)
-    n_axes = 2 + 2 * ndim
-
-    def axis(length: int, k: int) -> np.ndarray:
-        shape = [1] * n_axes
-        shape[k] = length
-        return np.arange(length, dtype=np.intp).reshape(shape)
-
-    pos = [axis(q, 1 + d) for d in range(ndim)]
-    tap = [axis(f, 2 + ndim + d) for d in range(ndim)]
-    coord = [t * s - pad + u for t, u in zip(pos, tap)]
-    rows = axis(channels, 1 + ndim)
-    cols = axis(filters, 0)
-    taps = cols * channels + rows
-    inside = True
-    for t, u, x in zip(pos, tap, coord):
-        rows = rows * p + x
-        cols = cols * q + t
-        taps = taps * f + u
-        inside = inside & (x >= 0) & (x < p)
-    grid = np.broadcast_shapes(rows.shape, cols.shape, taps.shape)
-    inside = np.broadcast_to(inside, grid)
-    shape = (channels * p ** ndim, filters * q ** ndim)
-    return (np.broadcast_to(rows, grid)[inside],
-            np.broadcast_to(cols, grid)[inside],
-            np.broadcast_to(taps, grid)[inside],
-            shape)
+    g = ConvGeometry(channels, filters, spatial, filter_size, stride, ndim)
+    rows = g.corr_map.T  # (position, channel*tap)
+    grid = (filters,) + rows.shape
+    cols = np.arange(g.shape[1]).reshape(filters, -1, 1)
+    taps = np.arange(filters * rows.shape[1]).reshape(filters, 1, -1)
+    inside = np.broadcast_to(rows < g.shape[0], grid)
+    return (np.broadcast_to(rows, grid)[inside], np.broadcast_to(cols, grid)[inside],
+            np.broadcast_to(taps, grid)[inside], g.shape)
 
 
 def conv_gram_nonzeros(layer: LayerSpec) -> int:
@@ -114,8 +95,8 @@ class Diagonal:
     """A square block held as its diagonal ``d``: +-1 for an identity coupling,
     +-1/norm after :func:`normalize`. ``D @ x`` scales the rows of a vector or
     matrix, ``M @ D`` the columns of a matrix, ``D @ D`` is the product as a
-    dense matrix, ``shape`` is the square block's, and ``np.asarray(D)`` is
-    the dense block."""
+    dense matrix, ``shape`` is the square block's, ``np.asarray(D)`` is the
+    dense block, and its column squares are d*d."""
 
     d: np.ndarray
     __array_ufunc__ = None  # so ndarray @ Diagonal defers to __rmatmul__
@@ -136,14 +117,217 @@ class Diagonal:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.diag(self.d).astype(dtype, copy=False)
 
+    def column_squares(self) -> np.ndarray:
+        return self.d * self.d
+
+
+def _window_grid(index: np.ndarray, ok: np.ndarray, radix: int, ndim: int):
+    """Per-axis (taps x sites) indices and masks, combined row-major over ``ndim`` axes."""
+    idx, mask = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1), dtype=bool)
+    for _ in range(ndim):
+        idx = idx[:, None, :, None] * radix + index[None, :, None, :]
+        mask = mask[:, None, :, None] & ok[None, :, None, :]
+        shape = (idx.shape[0] * idx.shape[1], idx.shape[2] * idx.shape[3])
+        idx, mask = idx.reshape(shape), mask.reshape(shape)
+    return idx, mask
+
+
+@dataclass(frozen=True, eq=False)
+class ConvGeometry:
+    """The shape of one convolution block and its gather maps.
+
+    S is the (channels * p**ndim) x (filters * q**ndim) synthesis matrix
+    of the layer, q = ceil(p / stride) (see the module docstring). The maps
+    are built from the geometry on first use and kept, so a structure
+    builds each once: ``corr_map`` (channels*taps x positions) names the
+    row of a signal each tap of each window reads, and ``synth_map``
+    (filters*taps x pixels) the column of the codes each tap places on
+    each pixel. A tap that reads or places nothing (off the grid, or
+    between strides) names the zero row appended after the last one.
+    """
+
+    channels: int
+    filters: int
+    spatial: int
+    filter: int
+    stride: int
+    ndim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of S."""
+        q = -(-self.spatial // self.stride)
+        return (self.channels * self.spatial ** self.ndim, self.filters * q ** self.ndim)
+
+    @property
+    def entries(self):
+        """S's index triplets: see :func:`conv_operator_entries`."""
+        return conv_operator_entries(self.channels, self.filters, self.spatial,
+                                     self.filter, self.stride, self.ndim)
+
+    @functools.cached_property
+    def corr_map(self) -> np.ndarray:
+        p, f, s = self.spatial, self.filter, self.stride
+        coord = np.arange(f)[:, None] + np.arange(0, p, s)[None, :] - (f - 1) // 2
+        pixel, inside = _window_grid(coord, (coord >= 0) & (coord < p), p, self.ndim)
+        rows = np.arange(self.channels)[:, None, None] * p ** self.ndim + pixel
+        return np.where(inside, rows, self.shape[0]).reshape(-1, pixel.shape[1])
+
+    @functools.cached_property
+    def synth_map(self) -> np.ndarray:
+        p, f, s = self.spatial, self.filter, self.stride
+        q = -(-p // s)
+        start, off = np.divmod(np.arange(p)[None, :] + (f - 1) // 2 - np.arange(f)[:, None], s)
+        site, placed = _window_grid(start, (off == 0) & (start >= 0) & (start < q), q, self.ndim)
+        cols = np.arange(self.filters)[:, None, None] * q ** self.ndim + site
+        return np.where(placed, cols, self.shape[1]).reshape(-1, site.shape[1])
+
+
+class Convolution:
+    """A convolution block held as its filter bank: S on the diagonal, -S^T
+    for a coupling, S the synthesis matrix of ``geometry``, with the
+    columns of the placed block divided by ``norms`` after :func:`normalize`.
+
+    ``bank`` is the signed filter bank as a (filters x channels*taps)
+    matrix. A product with codes or residuals is one ``take`` over a gather
+    map of the geometry plus one matrix product with the bank, on a vector
+    or on the columns of a matrix; ``C @ x`` and ``x @ C`` work from
+    either side, ``.T`` is the transposed block, ``C / norms`` divides its
+    columns, ``shape`` is the placed block's and ``np.asarray(C)`` is the
+    dense block.
+    """
+
+    __array_ufunc__ = None  # so ndarray @ Convolution defers to __rmatmul__
+
+    def __init__(self, geometry: ConvGeometry, bank: np.ndarray, coupling: bool,
+                 norms: np.ndarray | None = None, transposed: bool = False,
+                 synth_bank: np.ndarray | None = None):
+        g = self.geometry = geometry
+        self.bank, self.coupling = bank, coupling
+        self.norms, self.transposed = norms, transposed
+        if synth_bank is None:  # the bank as (channels x filters*taps), for S itself
+            synth_bank = bank.reshape(g.filters, g.channels, -1).transpose(1, 0, 2)
+            synth_bank = synth_bank.reshape(g.channels, -1)
+        self.synth_bank = synth_bank
+
+    @classmethod
+    def place(cls, geometry: ConvGeometry, stored: np.ndarray, coupling: bool) -> Convolution:
+        """The placed block of a stored filter bank (filters, channels, f[, f])."""
+        bank = stored.reshape(geometry.filters, -1)
+        return cls(geometry, -bank if coupling else bank, coupling)
+
+    def _with(self, norms, transposed) -> Convolution:
+        return Convolution(self.geometry, self.bank, self.coupling, norms, transposed,
+                           self.synth_bank)
+
+    @property
+    def T(self) -> Convolution:
+        return self._with(self.norms, not self.transposed)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        shape = self.geometry.shape
+        return shape[::-1] if self.coupling != self.transposed else shape
+
+    def _apply(self, x: np.ndarray, synthesize: bool) -> np.ndarray:
+        """S @ x (``synthesize``) or S^T @ x, with the bank's sign."""
+        if synthesize:
+            gather, bank = self.geometry.synth_map, self.synth_bank
+        else:
+            gather, bank = self.geometry.corr_map, self.bank
+        padded = np.concatenate((x, np.zeros((1,) + x.shape[1:])))
+        cols = padded.take(gather, axis=0).reshape(bank.shape[1], -1)
+        return (bank @ cols).reshape((-1,) + x.shape[1:])
+
+    def _divisor(self, x: np.ndarray) -> np.ndarray:
+        return self.norms if x.ndim == 1 else self.norms[:, None]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"operand has {x.shape[0]} rows, block {self.shape} "
+                             f"expects {self.shape[1]}")
+        if self.transposed:
+            out = self._apply(x, synthesize=self.coupling)
+            return out if self.norms is None else out / self._divisor(out)
+        if self.norms is not None:
+            x = x / self._divisor(x)
+        return self._apply(x, synthesize=not self.coupling)
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.T @ x.T).T
+
+    def __truediv__(self, norms: np.ndarray) -> Convolution:
+        if self.transposed:
+            return NotImplemented
+        return self._with(norms if self.norms is None else self.norms * norms, False)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        g = self.geometry
+        n_rows, n_cols = g.shape
+        unsigned = -self.bank if self.coupling else self.bank
+        cols = np.arange(n_cols).reshape(g.filters, -1)
+        mat = np.zeros((n_rows + 1, n_cols))
+        mat[g.corr_map[:, None, :], cols] = unsigned.T[:, :, None]
+        mat = mat[:n_rows]
+        if self.coupling:
+            mat = -mat.T
+        if self.norms is not None:
+            mat = mat / self.norms
+        return (mat.T if self.transposed else mat).astype(dtype, copy=False)
+
+    def packed_columns(self) -> np.ndarray:
+        """The columns of a diagonal block S, packed: (channels*taps x columns).
+
+        Column c holds the taps that column c of S places, in the order of
+        S's rows, and zeros for taps that fall off the grid; with ``norms``
+        each column is divided by its norm, as in ``np.asarray``. NumPy
+        sums the rows of a one-column array in another order, so a
+        one-column block comes back dense.
+        """
+        g = self.geometry
+        if self.shape[1] == 1:
+            return np.asarray(self)
+        inside = g.corr_map < g.shape[0]
+        packed = np.multiply(self.bank.T[:, :, None], inside[:, None, :], order="C")
+        packed = packed.reshape(inside.shape[0], -1)
+        return packed if self.norms is None else packed / self.norms
+
+    def column_squares(self) -> np.ndarray:
+        """Per-column sums of squares of the placed block.
+
+        Summed in the order ``np.einsum("ij,ij->j", A, A)`` sums the dense
+        block A: down a packed column for S, and along a full dense row of
+        S, a few rows at a time, for the columns of a coupling -S^T.
+        """
+        if not self.coupling:
+            packed = self.packed_columns()
+            return np.einsum("ij,ij->j", packed, packed)
+        # the rows of S for a few pixels at a time, all channels, laid out
+        # densely with one trash column for the taps that place nothing
+        g = self.geometry
+        n_cols, n_pixels = g.shape[1], g.synth_map.shape[1]
+        norms = None if self.norms is None else self.norms.reshape(g.channels, n_pixels)
+        step = max(1, (1 << 19) // (g.channels * (n_cols + 1)))
+        out = np.empty((g.channels, n_pixels))
+        for lo in range(0, n_pixels, step):
+            cols = g.synth_map[:, lo:lo + step].T
+            rows = np.zeros((g.channels, cols.shape[0], n_cols + 1))
+            rows[:, np.arange(cols.shape[0])[:, None], cols] = self.synth_bank[:, None, :]
+            rows = rows[:, :, :n_cols]
+            if norms is not None:
+                rows /= norms[:, lo:lo + step, None]
+            out[:, lo:lo + step] = np.einsum("cpj,cpj->cp", rows, rows)
+        return out.reshape(-1)
+
 
 class FrameStructure:
     """The value-independent description of a spec's global operator.
 
     Holds the block table, the row/column offsets of every group, the row
     groups of each column group (``rows_of``) and the column groups of
-    each row group (``cols_of``), the convolution index maps of the
-    learnable conv blocks, and, per Gram block pair (j, k) with j <= k,
+    each row group (``cols_of``), the :class:`ConvGeometry` of each
+    learnable conv block (``conv_geometry``, whose index maps are built on
+    first use), and, per Gram block pair (j, k) with j <= k,
     the row groups both column groups touch (``shared``; pairs sharing
     none are absent). Parameter values only fill it in: see :meth:`build`.
     """
@@ -161,13 +345,8 @@ class FrameStructure:
                              for j in range(depth))
         self.cols_of = tuple(tuple(b.col for b in self.blocks if b.row == i)
                              for i in range(depth))
-        self.conv_entries = {
-            (b.row, b.col): conv_operator_entries(
-                channels=b.conv["channels"], filters=b.conv["filters"],
-                spatial=b.conv["spatial"], filter_size=b.conv["filter"],
-                stride=b.conv["stride"], ndim=b.conv["ndim"])
-            for b in self.learnable if b.form == "conv"
-        }
+        self.conv_geometry = {(b.row, b.col): ConvGeometry(**b.conv)
+                              for b in self.learnable if b.form == "conv"}
         self.shared = {}
         for j in range(depth):
             for k in range(j, depth):
@@ -215,24 +394,21 @@ class FrameStructure:
         None for an identity block (every column its own class, touching
         its own row). A dense block has one class. A diagonal conv block's
         class is the output position ``c % q**ndim``, since every filter at
-        one position touches the same rows; an off-diagonal conv block
-        (placed as -stored.T) has a (channel, pixel) per column and its
-        class is the pixel ``c % p**ndim``.
+        one position touches the same rows (those its gather map reads); an
+        off-diagonal conv block (placed as -S^T) has a (channel, pixel) per
+        column and its class is the pixel ``c % p**ndim``, whose rows are
+        the columns of S that S's gather map places on that pixel.
         """
         if b.role == "identity":
             return None
         n_rows, n_cols = b.placed_shape
         if b.form == "dense":
             return np.zeros(n_cols, dtype=np.intp), np.ones((1, n_rows), dtype=bool)
-        rows, cols, _, _ = self.conv_entries[(b.row, b.col)]
-        if b.is_diagonal:
-            n_classes = n_cols // b.conv["filters"]
-        else:
-            n_classes = n_cols // b.conv["channels"]
-            rows, cols = cols, rows
-        support = np.zeros((n_classes, n_rows), dtype=bool)
-        support[cols % n_classes, rows] = True
-        return np.arange(n_cols, dtype=np.intp) % n_classes, support
+        g = self.conv_geometry[(b.row, b.col)]
+        gather = g.corr_map if b.is_diagonal else g.synth_map
+        support = np.zeros((gather.shape[1], n_rows + 1), dtype=bool)
+        support[np.arange(gather.shape[1]), gather] = True
+        return np.arange(n_cols, dtype=np.intp) % gather.shape[1], support[:, :n_rows]
 
     def build(self, params: dict[tuple[int, int], np.ndarray] | None = None,
               seed: int | None = None) -> GlobalFrame:
@@ -267,7 +443,7 @@ class FrameStructure:
                 raise FrameBuildError("; ".join(errors))
             params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
-        placed: dict[tuple[int, int], np.ndarray | Diagonal] = {}
+        placed: dict[tuple[int, int], Block] = {}
         for b in self.blocks:
             key = (b.row, b.col)
             if b.role == "identity":
@@ -275,14 +451,25 @@ class FrameStructure:
                 continue
             stored = params[key]
             if b.form == "conv":
-                rows, cols, taps, shape = self.conv_entries[key]
-                mat = np.zeros(shape)
-                mat[rows, cols] = stored.reshape(-1)[taps]
-                stored = mat
-            placed[key] = stored if b.is_diagonal else -stored.T
+                placed[key] = Convolution.place(self.conv_geometry[key], stored,
+                                                coupling=not b.is_diagonal)
+            else:
+                placed[key] = stored if b.is_diagonal else -stored.T
             if b.is_diagonal:
-                refuse_dead_columns(key, np.einsum("ij,ij->j", stored, stored))
+                refuse_dead_columns(key, _column_squares(placed[key]))
         return GlobalFrame(structure=self, params=params, placed=placed)
+
+
+# one placed block of a global operator
+Block = np.ndarray | Diagonal | Convolution
+
+
+def _column_squares(blk: Block) -> np.ndarray:
+    """Per-column sums of squares of a placed block, summed in the order
+    ``np.einsum`` sums its dense form."""
+    if isinstance(blk, np.ndarray):
+        return np.einsum("ij,ij->j", blk, blk)
+    return blk.column_squares()
 
 
 def refuse_dead_columns(key: tuple[int, int], col_sq: np.ndarray) -> None:
@@ -320,7 +507,9 @@ class GlobalFrame:
     built from; ``params`` maps learnable block positions to their stored
     parameter arrays; ``placed`` maps every structural block position to
     the (signed) submatrix of the operator: a dense array for a learnable
-    block, a :class:`Diagonal` for an identity coupling. ``normalized``
+    dense block, a :class:`Convolution` for a learnable conv block and a
+    :class:`Diagonal` for an identity coupling, none of them stacked or
+    densified. ``normalized``
     marks frames produced by :func:`normalize`, whose placed columns have
     unit norm and whose ``params`` are empty. ``step_sizes`` is a
     cache, not a constructor argument: :mod:`deepframe.inference` fills
@@ -330,7 +519,7 @@ class GlobalFrame:
 
     structure: FrameStructure
     params: dict[tuple[int, int], np.ndarray]
-    placed: dict[tuple[int, int], np.ndarray | Diagonal]
+    placed: dict[tuple[int, int], Block]
     normalized: bool = False
     step_sizes: dict[str, tuple[float, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -404,8 +593,7 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, dict[int, np.ndarray]]:
     for j in range(frame.depth):
         sq = np.zeros(frame.col_dims[j])
         for i in frame.structure.rows_of[j]:
-            blk = frame.placed[(i, j)]
-            sq += blk.d * blk.d if isinstance(blk, Diagonal) else np.einsum("ij,ij->j", blk, blk)
+            sq += _column_squares(frame.placed[(i, j)])
         norms = np.sqrt(sq)
         dead = np.nonzero(norms == 0.0)[0]
         if dead.size:
@@ -451,15 +639,43 @@ class GramStructure:
         return total
 
 
+GRAM_BYTE_LIMIT = 2 * 1024 ** 3
+"""The most bytes :func:`gram` may ask for, by :func:`gram_bytes`' estimate."""
+
+
+def gram_bytes(st: FrameStructure) -> int:
+    """Estimated peak bytes of :func:`gram` on a frame of this structure.
+
+    The Gram blocks plus one product of the widest pair, the dense forms
+    of the conv blocks, and the boolean overlap pattern (with its two
+    temporaries) of the widest pair behind :attr:`FrameStructure.offdiag_count`.
+    """
+    pairs = [st.col_dims[j] * st.col_dims[k] for j, k in st.shared]
+    conv = sum(math.prod(b.placed_shape) for b in st.learnable if b.form == "conv")
+    return 8 * (sum(pairs) + max(pairs) + conv) + 3 * max(pairs)
+
+
 def gram(frame: GlobalFrame) -> GramStructure:
-    """G = B^T B computed block-pair-wise, without materializing B."""
+    """G = B^T B computed block-pair-wise, without materializing B.
+
+    Each conv block is densified once per call. Refuses, before it
+    allocates, a structure whose :func:`gram_bytes` exceed
+    :data:`GRAM_BYTE_LIMIT`.
+    """
     st = frame.structure
+    need = gram_bytes(st)
+    if need > GRAM_BYTE_LIMIT:
+        raise FrameBuildError(
+            f"refusing the Gram matrix of a {st.shape[0]}x{st.shape[1]} operator: "
+            f"it needs about {need / 1e9:.1f} GB, over the {GRAM_BYTE_LIMIT / 1e9:.1f} GB limit")
+    placed = {key: np.asarray(blk) if isinstance(blk, Convolution) else blk
+              for key, blk in frame.placed.items()}
     blocks: dict[tuple[int, int], np.ndarray] = {}
     trace = 0.0
     for (j, k), rows in st.shared.items():
         acc = np.zeros((st.col_dims[j], st.col_dims[k]))
         for i in rows:
-            acc += frame.placed[(i, j)].T @ frame.placed[(i, k)]
+            acc += placed[(i, j)].T @ placed[(i, k)]
         blocks[(j, k)] = acc
         if j == k:
             trace += float(np.trace(acc))
@@ -467,7 +683,10 @@ def gram(frame: GlobalFrame) -> GramStructure:
 
 
 __all__ = [
+    "ConvGeometry",
+    "Convolution",
     "Diagonal",
+    "GRAM_BYTE_LIMIT",
     "FrameBuildError",
     "FrameStructure",
     "GlobalFrame",
@@ -478,5 +697,6 @@ __all__ = [
     "conv_gram_nonzeros",
     "conv_operator_entries",
     "gram",
+    "gram_bytes",
     "normalize",
 ]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .framebuild import Diagonal, GlobalFrame
+from .framebuild import Convolution, Diagonal, GlobalFrame
 
 
 class UnsupportedMethodError(ValueError):
@@ -68,7 +68,9 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
 
     ``blocks`` share one column count and stand for their column stack
     [P_0; P_1; ...], which is never formed: a round applies
-    v -> sum_i P_i^T (P_i v), so a :class:`Diagonal` block costs d*(d*v).
+    v -> sum_i P_i^T (P_i v), so a :class:`Diagonal` block costs d*(d*v)
+    and a :class:`Convolution` block two gathers and two products with its
+    filter bank; any other block is taken as an array.
     The start is deterministic (the ones vector, then a fixed perturbation
     if that lands in a null space). Each estimate is a Rayleigh quotient,
     hence a lower bound on the eigenvalue up to rounding. The loop stops
@@ -76,7 +78,7 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
     rounds; when the top of the spectrum is nearly degenerate it stops
     there, and the estimate can sit far more than ``tol`` below.
     """
-    blocks = [b if isinstance(b, Diagonal) else np.asarray(b, dtype=np.float64)
+    blocks = [b if isinstance(b, (Diagonal, Convolution)) else np.asarray(b, dtype=np.float64)
               for b in blocks]
     n = blocks[0].shape[1]
     if n == 0:

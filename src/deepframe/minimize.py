@@ -125,7 +125,7 @@ class _FlatMap:
                 consts.append(((r0 + eye) * width + c0 + eye, np.full(n_rows, sign)))
                 continue
             if b.form == "conv":
-                rows, cols, src, _ = st.conv_entries[key]
+                rows, cols, src, _ = st.conv_geometry[key].entries
                 if not b.is_diagonal:
                     rows, cols = cols, rows
             else:

@@ -60,6 +60,49 @@ def random_specs(count, rng=None, max_depth=4, max_width=16):
     return out
 
 
+def loop_conv_entries(channels, filters, spatial, filter_size, stride, ndim):
+    """Reference index triplets of the conv matrix, one window at a time."""
+    p, f, s = spatial, filter_size, stride
+    q = -(-p // s)
+    pad = (f - 1) // 2
+    rows, cols, taps = [], [], []
+    if ndim == 1:
+        for c in range(filters):
+            for t in range(q):
+                col = c * q + t
+                base = t * s - pad
+                for ch in range(channels):
+                    for fx in range(f):
+                        x = base + fx
+                        if 0 <= x < p:
+                            rows.append(ch * p + x)
+                            cols.append(col)
+                            taps.append((c * channels + ch) * f + fx)
+    else:
+        for c in range(filters):
+            for ty in range(q):
+                for tx in range(q):
+                    col = (c * q + ty) * q + tx
+                    by = ty * s - pad
+                    bx = tx * s - pad
+                    for ch in range(channels):
+                        for fy in range(f):
+                            y = by + fy
+                            if not 0 <= y < p:
+                                continue
+                            for fx in range(f):
+                                x = bx + fx
+                                if 0 <= x < p:
+                                    rows.append((ch * p + y) * p + x)
+                                    cols.append(col)
+                                    taps.append(((c * channels + ch) * f + fy) * f + fx)
+    shape = (channels * p ** ndim, filters * q ** ndim)
+    return (np.asarray(rows, dtype=np.intp),
+            np.asarray(cols, dtype=np.intp),
+            np.asarray(taps, dtype=np.intp),
+            shape)
+
+
 def materialize_conv_operator(layer, filter_bank):
     """Dense synthesis matrix of a convolutional layer, from its index map.
 

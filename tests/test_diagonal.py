@@ -1,9 +1,10 @@
-"""Identity couplings held as diagonals, against the same frames held densely."""
+"""Identity couplings held as diagonals, against the same frames with them held densely."""
 
 import numpy as np
 import pytest
 
-from deepframe.framebuild import Diagonal, GlobalFrame, build_global_frame, gram, normalize
+from deepframe.framebuild import (Convolution, Diagonal, GlobalFrame, build_global_frame, gram,
+                                  normalize)
 from deepframe.inference import (bcd_inference, block_step_sizes, feed_forward,
                                  layered_basis_pursuit, safe_step)
 
@@ -24,9 +25,14 @@ def identity_keys(frame):
 
 
 def densified(frame):
-    """The same frame with every placed block as a dense array."""
+    """The same frame with every Diagonal block as a dense array.
+
+    Conv blocks stay typed on both sides, so the two frames differ only in
+    how identity couplings are held and the comparisons stay bit for bit.
+    """
     return GlobalFrame(frame.structure, frame.params,
-                       {key: np.asarray(blk) for key, blk in frame.placed.items()},
+                       {key: np.asarray(blk) if isinstance(blk, Diagonal) else blk
+                        for key, blk in frame.placed.items()},
                        frame.normalized)
 
 
@@ -89,15 +95,18 @@ def test_inference_matches_densified(spec, rng):
 
 
 def refuse(self, dtype=None, copy=None):
-    raise AssertionError("a Diagonal block was densified")
+    raise AssertionError(f"a {type(self).__name__} block was densified")
 
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_hot_paths_never_densify(spec, rng, monkeypatch):
-    frame = build_global_frame(spec, seed=3)
+    # gram densifies conv blocks, once per call, and no other path does
+    with monkeypatch.context() as patch:
+        patch.setattr(Diagonal, "__array__", refuse)
+        gram(normalize(build_global_frame(spec, seed=3))[0])
     monkeypatch.setattr(Diagonal, "__array__", refuse)
-    unit, _ = normalize(frame)
-    gram(unit)
+    monkeypatch.setattr(Convolution, "__array__", refuse)
+    unit, _ = normalize(build_global_frame(spec, seed=3))
     x = rng.normal(size=unit.row_dims[0])
     feed_forward(x, unit, 0.05)
     bcd_inference(x, unit, 0.05, cycles=5, gamma=0.1)
@@ -111,5 +120,6 @@ def test_block_steps_match_stacked_oracle_without_densifying(spec, monkeypatch):
         want = [safe_step(column_block(frame, j)) for j in range(frame.depth)]
         with monkeypatch.context() as patch:
             patch.setattr(Diagonal, "__array__", refuse)
+            patch.setattr(Convolution, "__array__", refuse)
             got = block_step_sizes(frame)
         assert got == pytest.approx(want, rel=1e-12, abs=0)

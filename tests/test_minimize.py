@@ -134,7 +134,7 @@ def block_scatter(st, gb):
         sub = gb[st.row_off[b.row]:st.row_off[b.row + 1],
                  st.col_off[b.col]:st.col_off[b.col + 1]]
         if b.form == "conv":
-            rows, cols, taps, _ = st.conv_entries[key]
+            rows, cols, taps, _ = st.conv_geometry[key].entries
             weights = sub[rows, cols] if b.is_diagonal else -sub[cols, rows]
             flat = np.bincount(taps, weights=weights, minlength=int(np.prod(b.shape)))
             grads[key] = flat.reshape(b.shape)
