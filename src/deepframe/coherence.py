@@ -15,12 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .framebuild import Convolution, GlobalFrame, GramStructure, gram, normalize
+from .framebuild import ConvGram, Convolution, GlobalFrame, GramStructure, gram, normalize
 
 
-def _columns(blk):
-    """A learnable diagonal block, or the packed columns of a conv one."""
-    return blk.packed_columns() if isinstance(blk, Convolution) else blk
+def _column_norms(blk) -> np.ndarray:
+    """Column norms of a learnable diagonal block, dense or conv."""
+    if isinstance(blk, Convolution):
+        return np.sqrt(blk.column_squares())
+    return np.linalg.norm(blk, axis=0)
 
 
 def _as_gram(obj) -> GramStructure:
@@ -70,6 +72,9 @@ def mutual_coherence(frame) -> float:
 
     peaks = [0.0]
     for (j, k), blk in g.blocks.items():
+        if isinstance(blk, ConvGram):
+            peaks.append(blk.max_offdiag())
+            continue
         a = np.abs(blk)
         if j == k:
             np.fill_diagonal(a, 0.0)
@@ -272,7 +277,7 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
         normalized = frame
         chain_mags = None
     else:
-        chain_mags = [np.linalg.norm(_columns(frame.placed[(j, j)]), axis=0)
+        chain_mags = [_column_norms(frame.placed[(j, j)])
                       for j in range(frame.depth)] if spec.is_chain else None
         normalized = normalize(frame)[0]
     g = gram(normalized)

@@ -9,8 +9,12 @@ and a :class:`Convolution` (the filter bank, applied through gather maps)
 per learnable conv block. A full dense matrix is materialized on demand
 only for small operators. What does not depend on parameter values
 (blocks, offsets, convolution geometries and their index maps, Gram block
-pairs, the structural off-diagonal count) is compiled once per spec into
-a :class:`FrameStructure`, which values fill in.
+pairs with their filter offsets and masks, the structural off-diagonal
+count) is compiled once per spec into a :class:`FrameStructure`, which
+values fill in. The Gram matrix is held the same way: a dense array per
+block pair that touches a dense block, and a :class:`ConvGram` (entries
+per filter offset, computed from the filter banks) per pair of conv and
+identity column groups, so no conv block is ever densified.
 
 Convolution blocks are linear operators that place every filter at every
 output grid position (zero padding, "same"-style, window t starts at
@@ -275,49 +279,18 @@ class Convolution:
             mat = mat / self.norms
         return (mat.T if self.transposed else mat).astype(dtype, copy=False)
 
-    def packed_columns(self) -> np.ndarray:
-        """The columns of a diagonal block S, packed: (channels*taps x columns).
-
-        Column c holds the taps that column c of S places, in the order of
-        S's rows, and zeros for taps that fall off the grid; with ``norms``
-        each column is divided by its norm, as in ``np.asarray``. NumPy
-        sums the rows of a one-column array in another order, so a
-        one-column block comes back dense.
-        """
-        g = self.geometry
-        if self.shape[1] == 1:
-            return np.asarray(self)
-        inside = g.corr_map < g.shape[0]
-        packed = np.multiply(self.bank.T[:, :, None], inside[:, None, :], order="C")
-        packed = packed.reshape(inside.shape[0], -1)
-        return packed if self.norms is None else packed / self.norms
-
     def column_squares(self) -> np.ndarray:
-        """Per-column sums of squares of the placed block.
-
-        Summed in the order ``np.einsum("ij,ij->j", A, A)`` sums the dense
-        block A: down a packed column for S, and along a full dense row of
-        S, a few rows at a time, for the columns of a coupling -S^T.
-        """
-        if not self.coupling:
-            packed = self.packed_columns()
-            return np.einsum("ij,ij->j", packed, packed)
-        # the rows of S for a few pixels at a time, all channels, laid out
-        # densely with one trash column for the taps that place nothing
+        """Per-column sums of squares of the placed block: the squared bank
+        reduced over the taps each column places on the grid, in one product
+        (the bank over ``corr_map`` for S, ``synth_bank`` over ``synth_map``
+        for the columns of a coupling -S^T)."""
         g = self.geometry
-        n_cols, n_pixels = g.shape[1], g.synth_map.shape[1]
-        norms = None if self.norms is None else self.norms.reshape(g.channels, n_pixels)
-        step = max(1, (1 << 19) // (g.channels * (n_cols + 1)))
-        out = np.empty((g.channels, n_pixels))
-        for lo in range(0, n_pixels, step):
-            cols = g.synth_map[:, lo:lo + step].T
-            rows = np.zeros((g.channels, cols.shape[0], n_cols + 1))
-            rows[:, np.arange(cols.shape[0])[:, None], cols] = self.synth_bank[:, None, :]
-            rows = rows[:, :, :n_cols]
-            if norms is not None:
-                rows /= norms[:, lo:lo + step, None]
-            out[:, lo:lo + step] = np.einsum("cpj,cpj->cp", rows, rows)
-        return out.reshape(-1)
+        if self.coupling:
+            bank, on_grid = self.synth_bank, g.synth_map < g.shape[1]
+        else:
+            bank, on_grid = self.bank, g.corr_map < g.shape[0]
+        sq = ((bank * bank) @ on_grid).reshape(-1)
+        return sq if self.norms is None else sq / (self.norms * self.norms)
 
 
 class FrameStructure:
@@ -364,51 +337,24 @@ class FrameStructure:
         return blocks_param_count(self.blocks)
 
     @functools.cached_property
+    def gram_plan(self) -> dict[tuple[int, int], _PairPlan]:
+        """The terms of each Gram block pair, one per shared row group, with
+        their offsets and masks (see :func:`gram`). Compiled on first use."""
+        blocks = {(b.row, b.col): b for b in self.blocks}
+        shapes: dict = {}  # terms of one window geometry share their offsets and masks
+        return {key: _PairPlan(self, blocks, key, rows, shapes)
+                for key, rows in self.shared.items()}
+
+    @functools.cached_property
     def offdiag_count(self) -> int:
         """Structurally nonzero off-diagonal entries of the Gram matrix.
 
         Counts ordered column pairs whose placed supports overlap; values
-        play no part. Per shared row group, the overlap pattern is a
-        product of the two blocks' class supports (see
-        :meth:`_column_classes`) expanded to columns by indexing; identity
-        blocks need no product. The patterns of all shared row groups of a
-        Gram block pair are OR-ed together. Computed on first use.
+        play no part. A pair of column groups with a dense block on a
+        shared row group overlaps everywhere; any other pair overlaps where
+        the offset masks of its terms do (see :class:`_PairPlan`).
         """
-        classes = {(b.row, b.col): self._column_classes(b) for b in self.blocks}
-        count = 0
-        for (j, k), rows in self.shared.items():
-            pattern = np.zeros((self.col_dims[j], self.col_dims[k]), dtype=bool)
-            for i in rows:
-                pattern |= _overlap(classes[(i, j)], classes[(i, k)], self.row_dims[i])
-            if j == k:
-                count += np.count_nonzero(pattern) - np.count_nonzero(np.diagonal(pattern))
-            else:
-                count += 2 * np.count_nonzero(pattern)
-        return int(count)
-
-    def _column_classes(self, b: BlockDef) -> tuple[np.ndarray, np.ndarray] | None:
-        """The distinct column supports of a placed block.
-
-        Returns (classes, support) such that column c of the placed block
-        touches exactly the rows where ``support[classes[c]]`` is True, or
-        None for an identity block (every column its own class, touching
-        its own row). A dense block has one class. A diagonal conv block's
-        class is the output position ``c % q**ndim``, since every filter at
-        one position touches the same rows (those its gather map reads); an
-        off-diagonal conv block (placed as -S^T) has a (channel, pixel) per
-        column and its class is the pixel ``c % p**ndim``, whose rows are
-        the columns of S that S's gather map places on that pixel.
-        """
-        if b.role == "identity":
-            return None
-        n_rows, n_cols = b.placed_shape
-        if b.form == "dense":
-            return np.zeros(n_cols, dtype=np.intp), np.ones((1, n_rows), dtype=bool)
-        g = self.conv_geometry[(b.row, b.col)]
-        gather = g.corr_map if b.is_diagonal else g.synth_map
-        support = np.zeros((gather.shape[1], n_rows + 1), dtype=bool)
-        support[np.arange(gather.shape[1]), gather] = True
-        return np.arange(n_cols, dtype=np.intp) % gather.shape[1], support[:, :n_rows]
+        return sum(plan.count for plan in self.gram_plan.values())
 
     def build(self, params: dict[tuple[int, int], np.ndarray] | None = None,
               seed: int | None = None) -> GlobalFrame:
@@ -480,23 +426,6 @@ def refuse_dead_columns(key: tuple[int, int], col_sq: np.ndarray) -> None:
     dead = np.nonzero(col_sq == 0.0)[0]
     if dead.size:
         raise FrameBuildError(f"diagonal block {key} has zero columns at {dead.tolist()}")
-
-
-def _overlap(a, b, n: int) -> np.ndarray:
-    """Column-pair overlap pattern of two placed blocks on one n-row group.
-
-    ``a`` and ``b`` are :meth:`FrameStructure._column_classes` results.
-    """
-    if a is None and b is None:
-        return np.eye(n, dtype=bool)
-    if a is None:
-        classes, support = b
-        return support[classes].T
-    if b is None:
-        classes, support = a
-        return support[classes]
-    (classes_a, support_a), (classes_b, support_b) = a, b
-    return (support_a @ support_b.T)[classes_a][:, classes_b]
 
 
 @dataclass
@@ -614,27 +543,318 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, dict[int, np.ndarray]]:
 
 # ---------------------------------------------------------------------------
 # Gram structure
+#
+# On a shared row group, a conv or identity block is a bank read through
+# windows (_Window), and column (a, t) of one meets column (b, t') of the
+# other only where their windows overlap: t' = t + delta for a few offsets
+# delta per grid axis (Papyan, Romano & Elad, JMLR 2017). The row group's
+# term of the Gram block is then, per offset,
+#
+#     G_delta[a, b, t] = sum_u P_delta[a, b, u] * m_delta[u, t]
+#     P_delta[a, b, u] = sum_c A[a, c, u] * B[b, c, u'(delta, u)]
+#
+# with u'(delta, u) the right tap on the pixel of left tap u, and
+# m_delta[u, t] = 1 where left tap u of site t lands on the grid and the
+# right site t + delta exists. Offsets, tap pairing and masks depend on the
+# structure alone; the banks and the column norms fill them in.
+
+
+@dataclass(frozen=True)
+class _Window:
+    """A conv or identity block on its row group, read as windows.
+
+    Column (a, t) holds ``bank[a, c, u]`` on channel c of the row group at
+    pixel ``stride * t + taps[u]`` of each grid axis (taps and sites
+    row-major over ``ndim`` axes; pixels off the ``grid`` are absent). S is
+    its filters over its channels; a coupling -S^T has a column per
+    (channel, pixel) of S, reading the windows that S places on that pixel
+    with reversed taps; an identity is a 1x1 filter over channels.
+    """
+
+    features: int
+    channels: int
+    taps: tuple[int, ...]
+    stride: int
+    sites: int
+    grid: int
+    ndim: int
+
+
+def _window(st: FrameStructure, b: BlockDef, partner: BlockDef) -> _Window:
+    """The window of conv or identity block ``b`` in a term with ``partner``.
+
+    An identity takes the channels and pixels of its row group from a conv
+    partner, else from the conv layer of either column group.
+    """
+    if b.form == "conv":
+        g = st.conv_geometry[(b.row, b.col)]
+        half = (g.filter - 1) // 2
+        if b.is_diagonal:
+            return _Window(g.filters, g.channels, tuple(range(-half, g.filter - half)),
+                           g.stride, -(-g.spatial // g.stride), g.spatial, g.ndim)
+        return _Window(g.channels, g.filters, tuple(range(half, half - g.filter, -1)),
+                       1, g.spatial, g.spatial, g.ndim)
+    if partner.form == "conv":
+        w = _window(st, partner, b)
+        channels, grid, ndim = w.channels, w.grid, w.ndim
+    else:
+        ly = next(ly for ly in (st.spec.layers[b.col], st.spec.layers[partner.col]) if ly.is_conv)
+        channels, grid, ndim = ly.width, ly.spatial, ly.ndim
+    return _Window(channels, channels, (0,), 1, grid, grid, ndim)
+
+
+def _offsets(left: _Window, right: _Window):
+    """The offsets (D x ndim) at which two windows meet, the right tap
+    meeting each left tap (D x left taps; the right tap count where none
+    does), the masks (D x left taps x sites) as floats, which of them meet
+    at all (D x sites) and the right site of each (see :func:`_dest`), all
+    row-major over the grid axes."""
+    s, n_sites = left.stride, left.sites
+    lt, rt = np.array(left.taps), np.array(right.taps)
+    diff = lt[:, None] - rt[None, :]
+    lo = -(-diff.min() // s)
+    deltas = np.arange(lo, diff.max() // s + 1)
+    u, v = np.nonzero(diff % s == 0)
+    partner1 = np.full((deltas.size, lt.size), rt.size)
+    partner1[diff[u, v] // s - lo, u] = v
+    pixel = s * np.arange(n_sites) + lt[:, None]
+    dest = np.arange(n_sites) + deltas[:, None]
+    mask1 = ((partner1 < rt.size)[:, :, None] & ((pixel >= 0) & (pixel < left.grid))[None]
+             & ((dest >= 0) & (dest < n_sites))[:, None, :])
+    offsets = np.zeros((1, 0), dtype=np.intp)
+    partner, mask = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1, 1), dtype=bool)
+    for _ in range(left.ndim):
+        offsets = np.concatenate((np.repeat(offsets, deltas.size, axis=0),
+                                  np.tile(deltas, len(offsets))[:, None]), axis=1)
+        partner = (partner[:, None, :, None] * rt.size + partner1[None, :, None, :])
+        mask = mask[:, None, :, None, :, None] & mask1[None, :, None, :, None, :]
+        partner = partner.reshape(len(offsets), -1)
+        mask = mask.reshape(partner.shape + (-1,))
+    keep = mask.any(axis=(1, 2))
+    partner = np.where(mask.any(axis=2), partner, rt.size ** left.ndim)
+    offsets, mask = offsets[keep], mask[keep]
+    return (offsets, partner[keep], mask.astype(float), mask.any(axis=1),
+            _dest(offsets, n_sites))
+
+
+def _dest(offsets: np.ndarray, sites: int) -> np.ndarray:
+    """The flat site t + offsets[d] of each flat site t (D x sites**ndim),
+    or sites**ndim where it is off the grid."""
+    ndim = offsets.shape[1]
+    moved = np.indices((sites,) * ndim).reshape(ndim, -1)[None] + offsets[:, :, None]
+    flat = np.einsum("dat,a->dt", moved, sites ** np.arange(ndim - 1, -1, -1))
+    return np.where(((moved >= 0) & (moved < sites)).all(axis=1), flat, sites ** ndim)
+
+
+def _bank(blk: Block, w: _Window) -> tuple[np.ndarray, np.ndarray | None]:
+    """A conv or identity block's bank (features x channels x taps) and the
+    factor of each of its columns, if any: 1/norms for a conv block, the
+    diagonal of an identity (held as a :class:`Diagonal` or densely)."""
+    if isinstance(blk, Convolution):
+        bank = blk.synth_bank if blk.coupling else blk.bank
+        return (bank.reshape(w.features, w.channels, -1),
+                None if blk.norms is None else 1.0 / blk.norms)
+    return np.eye(w.features)[:, :, None], blk.d if isinstance(blk, Diagonal) else np.diagonal(blk)
+
+
+class _OffsetTerm:
+    """One shared row group's term of a Gram block pair, by offsets."""
+
+    def __init__(self, st: FrameStructure, left: BlockDef, right: BlockDef, shapes: dict):
+        self.keys = ((left.row, left.col), (right.row, right.col))
+        self.windows = wl, wr = (_window(st, left, right), _window(st, right, left))
+        self.identities = left.role == right.role == "identity"
+        shape = (wl.taps, wr.taps, wl.stride, wl.sites, wl.grid, wl.ndim)
+        if shape not in shapes:
+            shapes[shape] = _offsets(wl, wr)
+        # touch: where columns (a, t) and (b, t + delta) share a row
+        self.offsets, self.partner, self.mask, self.touch, self.dest = shapes[shape]
+
+    @property
+    def nbytes(self) -> int:
+        (wl, wr), (n_off, _, sites) = self.windows, self.mask.shape
+        return 8 * n_off * wl.features * wr.features * sites
+
+    def values(self, placed: dict[tuple[int, int], Block]) -> np.ndarray:
+        """G_delta[a, b, t] (offsets x left features x right features x sites),
+        divided by both sides' column norms."""
+        (wl, wr), (n_off, n_taps, sites) = self.windows, self.mask.shape
+        left, left_factor = _bank(placed[self.keys[0]], wl)
+        right, right_factor = _bank(placed[self.keys[1]], wr)
+        right = np.concatenate((right, np.zeros(right.shape[:2] + (1,))), axis=2)
+        meet = np.matmul(left.transpose(2, 0, 1), right[:, :, self.partner].transpose(2, 3, 1, 0))
+        out = np.matmul(meet.reshape(n_off, n_taps, -1).transpose(0, 2, 1), self.mask)
+        out = out.reshape(n_off, wl.features, wr.features, sites)
+        if left_factor is not None:
+            out *= left_factor.reshape(wl.features, 1, sites)
+        if right_factor is not None:
+            right_factor = np.append(right_factor.reshape(wr.features, sites),
+                                     np.zeros((wr.features, 1)), axis=1)
+            out *= right_factor[:, self.dest].transpose(1, 0, 2)[:, None]
+        return out
+
+
+class ConvGram:
+    """A Gram block between two column groups of conv and identity blocks,
+    held by filter offsets.
+
+    ``values[d, a, b, t]`` is the entry of left column (a, t) and right
+    column (b, ``dest[d, t]``), the right site t + ``offsets[d]`` (sites
+    flat, row-major over the grid axes); ``dest`` is the site count where
+    that site is off the grid, and the value there is zero. Every other
+    entry is structurally zero. ``diagonal`` marks a block on the Gram
+    diagonal, whose diagonal entries are those at offset zero with a == b.
+    ``np.asarray`` gives the dense block.
+    """
+
+    def __init__(self, values: np.ndarray, offsets: np.ndarray, dest: np.ndarray,
+                 diagonal: bool):
+        self.values, self.offsets, self.dest, self.diagonal = values, offsets, dest, diagonal
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        _, f_l, f_r, sites = self.values.shape
+        return (f_l * sites, f_r * sites)
+
+    def _zero(self) -> int:
+        return int(np.flatnonzero(~self.offsets.any(axis=1))[0])
+
+    def frobenius_sq(self) -> float:
+        flat = self.values.reshape(-1)
+        return float(flat @ flat)
+
+    def trace(self) -> float:
+        return float(np.trace(self.values[self._zero()]).sum()) if self.diagonal else 0.0
+
+    def max_offdiag(self) -> float:
+        """The largest |entry| off the diagonal (NaN if an entry is NaN),
+        read without a copy of the values outside the zero offset."""
+        parts = [self.values]
+        if self.diagonal:
+            z = self._zero()
+            off = ~np.eye(self.values.shape[1], dtype=bool)
+            parts = [self.values[:z], self.values[z + 1:], self.values[z][off]]
+        peaks = [m for p in parts for m in (p.max(initial=0.0), -p.min(initial=0.0))]
+        return float(np.max(peaks))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        _, f_l, f_r, sites = self.values.shape
+        out = np.zeros((f_l, sites, f_r, sites + 1))
+        t = np.arange(sites)
+        for vals, dest in zip(self.values, self.dest):
+            out[:, t, :, dest] = vals.transpose(2, 0, 1)
+        return out[..., :sites].reshape(self.shape).astype(dtype, copy=False)
+
+
+def _is_dense(b: BlockDef) -> bool:
+    return b.role == "learnable" and b.form == "dense"
+
+
+class _PairPlan:
+    """The terms of Gram block pair (j, k), one per shared row group.
+
+    A pair with a dense learnable block on a shared row group, or with no
+    conv layer among its column groups, is dense: its terms are block
+    products, but a term with a conv block and no dense one is an
+    :class:`_OffsetTerm` added in dense form. Any other pair is a
+    :class:`ConvGram` over the union of its terms' offsets. ``count`` is the
+    pair's share of :attr:`FrameStructure.offdiag_count`: everything for a
+    pair touching a dense block (every column of a placed block touches
+    its row group), otherwise the union of the terms' masks, over every
+    feature pair except for two identities, which meet feature to feature.
+    """
+
+    def __init__(self, st: FrameStructure, blocks: dict[tuple[int, int], BlockDef],
+                 key: tuple[int, int], rows: tuple[int, ...], shapes: dict):
+        j, k = key
+        self.diagonal = j == k
+        self.shape = (st.col_dims[j], st.col_dims[k])
+        sides = [(blocks[(i, j)], blocks[(i, k)]) for i in rows]
+        touches_dense = any(_is_dense(b) for pair in sides for b in pair)
+        self.dense = touches_dense or not any(st.spec.layers[c].is_conv for c in key)
+        self.terms = [
+            ((bl.row, bl.col), (br.row, br.col))
+            if _is_dense(bl) or _is_dense(br) or (self.dense and "conv" not in (bl.form, br.form))
+            else _OffsetTerm(st, bl, br, shapes)
+            for bl, br in sides]
+        n_l, n_r = self.shape
+        if self.dense:  # without a dense block, identities meet column to column
+            count = (n_l * n_r if touches_dense else n_l) - (n_l if self.diagonal else 0)
+            self.nbytes = 8 * n_l * n_r
+            self.term_bytes = [self.nbytes + self._gather_bytes(st, term) for term in self.terms]
+        else:
+            offsets = sorted({o for t in self.terms for o in map(tuple, t.offsets.tolist())})
+            self.offsets = np.array(offsets)
+            index = {o: d for d, o in enumerate(offsets)}
+            self.slots = [np.array([index[o] for o in map(tuple, t.offsets.tolist())])
+                          for t in self.terms]
+            wl, wr = self.terms[0].windows
+            widest = max(self.terms, key=lambda t: len(t.offsets))
+            self.dest = (widest.dest if len(widest.offsets) == len(offsets)
+                         else _dest(self.offsets, wl.sites))
+            full, eye = np.zeros((2,) + self.dest.shape, dtype=bool)
+            for term, slot in zip(self.terms, self.slots):
+                (eye if term.identities else full)[slot] |= term.touch
+            count = (wl.features * wr.features * np.count_nonzero(full)
+                     + wl.features * np.count_nonzero(eye & ~full))
+            if self.diagonal:
+                count -= wl.features * np.count_nonzero((full | eye)[index[(0,) * wl.ndim]])
+            self.nbytes = 8 * self.dest.size * wl.features * wr.features
+            self.term_bytes = [t.nbytes for t in self.terms]
+        self.count = int(count if self.diagonal else 2 * count)
+
+    def _gather_bytes(self, st: FrameStructure, term) -> int:
+        """What a term of a dense pair allocates besides its product: the
+        dense form of an offset term, the gathered operand of a conv block."""
+        if isinstance(term, _OffsetTerm):
+            return term.nbytes + 8 * self.shape[0] * self.shape[1]
+        out = 0
+        for key, other in zip(term, self.shape[::-1]):
+            g = st.conv_geometry.get(key)
+            if g is not None:
+                out += 8 * (g.corr_map if key[0] == key[1] else g.synth_map).size * other
+        return out
+
+    def evaluate(self, placed: dict[tuple[int, int], Block]) -> np.ndarray | ConvGram:
+        if self.dense:
+            acc = np.zeros(self.shape)
+            for term in self.terms:
+                if isinstance(term, _OffsetTerm):
+                    acc += np.asarray(ConvGram(term.values(placed), term.offsets, term.dest, False))
+                else:
+                    acc += placed[term[0]].T @ placed[term[1]]
+            return acc
+        values = None
+        for term, slot in zip(self.terms, self.slots):
+            part = term.values(placed)
+            if values is None and len(slot) == len(self.offsets):
+                values = part
+            else:
+                if values is None:
+                    values = np.zeros((len(self.offsets),) + part.shape[1:])
+                values[slot] += part
+        return ConvGram(values, self.offsets, self.dest, self.diagonal)
 
 
 @dataclass
 class GramStructure:
     """Block representation of G = B^T B.
 
-    ``blocks`` holds the upper block triangle (j <= j'); pairs of column
-    groups sharing no row group are structural zero blocks and are simply
-    absent. ``offdiag_count`` is the number of structurally nonzero
-    off-diagonal entries of G (support overlap, independent of parameter
-    values); ``trace`` is Tr(G).
+    ``blocks`` holds the upper block triangle (j <= j'), each a dense array
+    or a :class:`ConvGram`; pairs of column groups sharing no row group are
+    structural zero blocks and are simply absent. ``offdiag_count`` is the
+    number of structurally nonzero off-diagonal entries of G (support
+    overlap, independent of parameter values); ``trace`` is Tr(G).
     """
 
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: dict[tuple[int, int], np.ndarray | ConvGram]
     trace: float
     offdiag_count: int
 
     def frobenius_sq(self) -> float:
         total = 0.0
         for (j, k), blk in self.blocks.items():
-            contrib = float(np.sum(blk * blk))
+            contrib = blk.frobenius_sq() if isinstance(blk, ConvGram) else float(np.sum(blk * blk))
             total += contrib if j == k else 2.0 * contrib
         return total
 
@@ -646,21 +866,26 @@ GRAM_BYTE_LIMIT = 2 * 1024 ** 3
 def gram_bytes(st: FrameStructure) -> int:
     """Estimated peak bytes of :func:`gram` on a frame of this structure.
 
-    The Gram blocks plus one product of the widest pair, the dense forms
-    of the conv blocks, and the boolean overlap pattern (with its two
-    temporaries) of the widest pair behind :attr:`FrameStructure.offdiag_count`.
+    Every Gram block as held (per offset for a :class:`ConvGram`, dense
+    otherwise), the largest term's own product before it is added (with
+    what it gathers), and the compiled masks of the offset terms.
     """
-    pairs = [st.col_dims[j] * st.col_dims[k] for j, k in st.shared]
-    conv = sum(math.prod(b.placed_shape) for b in st.learnable if b.form == "conv")
-    return 8 * (sum(pairs) + max(pairs) + conv) + 3 * max(pairs)
+    plans = st.gram_plan.values()
+    masks = sum({id(t.mask): t.mask.nbytes for p in plans for t in p.terms
+                 if isinstance(t, _OffsetTerm)}.values())
+    return (sum(p.nbytes for p in plans) + max(b for p in plans for b in p.term_bytes)
+            + masks)
 
 
 def gram(frame: GlobalFrame) -> GramStructure:
     """G = B^T B computed block-pair-wise, without materializing B.
 
-    Each conv block is densified once per call. Refuses, before it
-    allocates, a structure whose :func:`gram_bytes` exceed
-    :data:`GRAM_BYTE_LIMIT`.
+    Follows the structure's :attr:`~FrameStructure.gram_plan`: a pair of
+    column groups of conv and identity blocks comes out as a
+    :class:`ConvGram`, computed from the filter banks per offset; any other
+    pair (one touching a dense block, or of fully connected layers alone)
+    as a dense array of block products. No conv block is densified. Refuses, before it allocates the blocks, a structure
+    whose :func:`gram_bytes` exceed :data:`GRAM_BYTE_LIMIT`.
     """
     st = frame.structure
     need = gram_bytes(st)
@@ -668,22 +893,17 @@ def gram(frame: GlobalFrame) -> GramStructure:
         raise FrameBuildError(
             f"refusing the Gram matrix of a {st.shape[0]}x{st.shape[1]} operator: "
             f"it needs about {need / 1e9:.1f} GB, over the {GRAM_BYTE_LIMIT / 1e9:.1f} GB limit")
-    placed = {key: np.asarray(blk) if isinstance(blk, Convolution) else blk
-              for key, blk in frame.placed.items()}
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    blocks = {key: plan.evaluate(frame.placed) for key, plan in st.gram_plan.items()}
     trace = 0.0
-    for (j, k), rows in st.shared.items():
-        acc = np.zeros((st.col_dims[j], st.col_dims[k]))
-        for i in rows:
-            acc += placed[(i, j)].T @ placed[(i, k)]
-        blocks[(j, k)] = acc
+    for (j, k), blk in blocks.items():
         if j == k:
-            trace += float(np.trace(acc))
+            trace += blk.trace() if isinstance(blk, ConvGram) else float(np.trace(blk))
     return GramStructure(blocks=blocks, trace=trace, offdiag_count=st.offdiag_count)
 
 
 __all__ = [
     "ConvGeometry",
+    "ConvGram",
     "Convolution",
     "Diagonal",
     "GRAM_BYTE_LIMIT",

@@ -127,7 +127,8 @@ def column_block(frame, j):
 
 
 def gram_full(g):
-    """The dense symmetric Gram matrix of a GramStructure's upper block triangle.
+    """The dense symmetric Gram matrix of a GramStructure's upper block triangle,
+    each block read through ``np.asarray`` (a ConvGram gives its dense form).
 
     Column group sizes are read off the diagonal blocks, which every frame has.
     """
@@ -135,6 +136,7 @@ def gram_full(g):
     offs = np.concatenate(([0], np.cumsum(dims))).astype(int)
     out = np.zeros((offs[-1], offs[-1]))
     for (j, k), blk in g.blocks.items():
+        blk = np.asarray(blk)
         out[offs[j]:offs[j + 1], offs[k]:offs[k + 1]] = blk
         if j != k:
             out[offs[k]:offs[k + 1], offs[j]:offs[j + 1]] = blk.T

@@ -9,10 +9,11 @@ import pytest
 from deepframe.archspec import serialize_spec
 from deepframe.cli import main
 from deepframe.framebuild import (GRAM_BYTE_LIMIT, ConvGeometry, Convolution, Diagonal,
-                                  FrameBuildError, build_global_frame, gram, gram_bytes)
+                                  FrameBuildError, build_global_frame, gram, gram_bytes,
+                                  normalize)
 from deepframe.inference import bcd_inference, feed_forward
 
-from conftest import conv_spec, loop_conv_entries
+from conftest import conv_spec, fc_spec, loop_conv_entries
 
 
 def dense_oracle(geometry, stored, coupling):
@@ -48,12 +49,8 @@ def test_convolution_matches_dense_form(ndim, stride, f, rng):
                         assert blk.shape == want.shape
                         assert np.array_equal(np.asarray(blk), want)
                         assert np.array_equal(np.asarray(blk.T), want.T)
-                        # summed in the dense einsum's order, so exactly equal
-                        assert np.array_equal(blk.column_squares(),
-                                              np.einsum("ij,ij->j", want, want))
-                        if not coupling:
-                            assert np.array_equal(np.linalg.norm(blk.packed_columns(), axis=0),
-                                                  np.linalg.norm(want, axis=0))
+                        # one reduction over the taps, divided by the squared norms
+                        assert_close(blk.column_squares(), np.einsum("ij,ij->j", want, want))
                         for op, mat in ((blk, want), (blk.T, want.T)):
                             for x in (rng.normal(size=mat.shape[1]),
                                       rng.normal(size=(mat.shape[1], 3))):
@@ -112,7 +109,7 @@ def test_gather_maps_match_loop_nest(ndim, stride, f):
                         assert np.array_equal(a, b), args
 
 
-# --- target size: 3ch 32x32 [16,16] conv chain, 32768 columns ---------------
+# --- target size: 3ch 32x32 [16,16] conv chain, 32768 columns; oversized Gram --
 
 TARGET = conv_spec("chain", 3, 32, [16, 16])
 
@@ -121,9 +118,12 @@ def refuse(self, dtype=None, copy=None):
     raise AssertionError(f"a {type(self).__name__} block was densified")
 
 
-def test_gram_refuses_target_size_before_allocating():
-    frame = build_global_frame(TARGET, seed=0)
-    assert frame.shape == (3072 + 16384, 32768)
+# an FC spec whose single dense Gram block alone needs 4.6 GB
+OVERSIZED = fc_spec("chain", 8, [24000])
+
+
+def test_gram_refuses_oversized_structure_before_allocating():
+    frame = build_global_frame(OVERSIZED, seed=0)
     need = gram_bytes(frame.structure)
     assert need > 6e9 > GRAM_BYTE_LIMIT
     tracemalloc.start()
@@ -136,9 +136,9 @@ def test_gram_refuses_target_size_before_allocating():
     assert peak < 1_000_000
 
 
-def test_analyze_refuses_target_size(tmp_path, capsys):
-    spec = tmp_path / "target.json"
-    spec.write_text(json.dumps(serialize_spec(TARGET)))
+def test_analyze_refuses_oversized_gram(tmp_path, capsys):
+    spec = tmp_path / "oversized.json"
+    spec.write_text(json.dumps(serialize_spec(OVERSIZED)))
     tracemalloc.start()
     try:
         assert main(["analyze", str(spec)]) == 1
@@ -147,6 +147,61 @@ def test_analyze_refuses_target_size(tmp_path, capsys):
         tracemalloc.stop()
     assert "GB limit" in capsys.readouterr().err
     assert peak < 200e6
+
+
+def gram_entry(blk, row, col):
+    """Entry (row, col) of a Gram block held by offsets."""
+    sites = blk.values.shape[3]
+    (a, t), (b, site) = divmod(row, sites), divmod(col, sites)
+    hit = np.flatnonzero(blk.dest[:, t] == site)
+    return blk.values[hit[0], a, b, t] if hit.size else 0.0
+
+
+def column_entry(frame, key, col):
+    """The global column ``col`` of column group ``key[1]`` on row group ``key[0]``,
+    through the placed block's own product."""
+    e = np.zeros(frame.col_dims[key[1]])
+    e[col] = 1.0
+    return frame.placed[key] @ e
+
+
+def test_target_size_analyze_never_densifies(tmp_path, monkeypatch):
+    monkeypatch.setattr(Convolution, "__array__", refuse)
+    monkeypatch.setattr(Diagonal, "__array__", refuse)
+    spec, out = tmp_path / "target.json", tmp_path / "report.json"
+    spec.write_text(json.dumps(serialize_spec(TARGET)))
+    tracemalloc.start()
+    try:
+        assert main(["analyze", str(spec), "--seed", "0", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500e6
+    report = json.loads(out.read_text())["report"]
+    assert report["cols"] == 32768
+    assert report["trace"] == pytest.approx(32768, abs=1e-9)  # 32768 unit columns
+    assert report["averaged_bound"] <= report["mutual_coherence"]
+    assert report["chain_lower_bound"] <= report["frame_potential"]
+
+    # sampled entries against inner products of the global columns
+    unit, _ = normalize(build_global_frame(TARGET, seed=0))
+    g, st = gram(unit), unit.structure
+    rng = np.random.default_rng(5)
+    for n in range(200):
+        j, k = list(st.shared)[n % len(st.shared)]
+        blk = g.blocks[(j, k)]
+        row = int(rng.integers(st.col_dims[j]))
+        if n % 4:  # mostly a structurally nonzero entry of that row
+            d = int(rng.integers(len(blk.offsets)))
+            site = blk.dest[d, row % blk.values.shape[3]]
+            if site == blk.values.shape[3]:
+                continue
+            col = int(rng.integers(blk.values.shape[2])) * blk.values.shape[3] + int(site)
+        else:
+            col = int(rng.integers(st.col_dims[k]))
+        want = sum(column_entry(unit, (i, j), row) @ column_entry(unit, (i, k), col)
+                   for i in st.shared[(j, k)])
+        assert abs(gram_entry(blk, row, col) - want) <= 1e-12
 
 
 def test_target_size_inference_never_densifies(monkeypatch):

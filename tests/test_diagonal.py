@@ -100,13 +100,10 @@ def refuse(self, dtype=None, copy=None):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_hot_paths_never_densify(spec, rng, monkeypatch):
-    # gram densifies conv blocks, once per call, and no other path does
-    with monkeypatch.context() as patch:
-        patch.setattr(Diagonal, "__array__", refuse)
-        gram(normalize(build_global_frame(spec, seed=3))[0])
     monkeypatch.setattr(Diagonal, "__array__", refuse)
     monkeypatch.setattr(Convolution, "__array__", refuse)
     unit, _ = normalize(build_global_frame(spec, seed=3))
+    gram(unit)
     x = rng.normal(size=unit.row_dims[0])
     feed_forward(x, unit, 0.05)
     bcd_inference(x, unit, 0.05, cycles=5, gamma=0.1)
