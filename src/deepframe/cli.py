@@ -170,12 +170,17 @@ def cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_analyze(args) -> int:
+def _load_frame(args):
+    """The frame of ``args.spec`` from its ``--params`` file, else from
+    ``--seed``, and the seed the envelope records (None for a params file)."""
     spec = load_spec(args.spec)
     if args.params:
-        frame = build_global_frame(spec, params=_load_params(args.params, spec))
-    else:
-        frame = build_global_frame(spec, seed=args.seed)
+        return build_global_frame(spec, params=_load_params(args.params, spec)), None
+    return build_global_frame(spec, seed=args.seed), args.seed
+
+
+def cmd_analyze(args) -> int:
+    frame, seed = _load_frame(args)
     report = analyze(frame)
     if args.format == "csv":
         rows = [list(CSV_FIELDS), report.csv_row()]
@@ -184,7 +189,7 @@ def cmd_analyze(args) -> int:
         else:
             csv.writer(sys.stdout).writerows(rows)
         return 0
-    payload = _envelope(args.seed if not args.params else None, [args.spec])
+    payload = _envelope(seed, [args.spec])
     payload["report"] = report.to_dict()
     _emit_json(payload, args.out)
     return 0
@@ -237,12 +242,8 @@ def cmd_infer(args) -> int:
     if args.gamma is not None and args.method != "bcd":
         raise ValueError(f"--gamma sets the step size of --method bcd; "
                          f"--method {args.method} takes no step size")
-    spec = load_spec(args.spec)
-    if args.params:
-        frame = build_global_frame(spec, params=_load_params(args.params, spec))
-    else:
-        frame = build_global_frame(spec, seed=args.seed)
-    batch = load_signals(args.inputs, spec.input_dim).T
+    frame, seed = _load_frame(args)
+    batch = load_signals(args.inputs, frame.spec.input_dim).T
     if args.method == "feed_forward":
         results = feed_forward(batch, frame, args.penalty)
     elif args.method == "layered_bp":
@@ -250,7 +251,7 @@ def cmd_infer(args) -> int:
     else:
         results = bcd_inference(batch, frame, args.penalty, cycles=args.iters,
                                 gamma="auto" if args.gamma is None else args.gamma)
-    payload = _envelope(args.seed if not args.params else None, [args.spec])
+    payload = _envelope(seed, [args.spec])
     payload["method"] = args.method
     payload["penalty"] = args.penalty
     payload["step_sizes"] = list(results[0].step_sizes)

@@ -17,11 +17,14 @@ per filter offset, computed from the filter banks) per pair of conv and
 identity column groups, so no conv block is ever densified.
 
 Convolution blocks are linear operators that place every filter at every
-output grid position (zero padding, "same"-style, window t starts at
-t*stride - (f-1)//2). Column order is filter-major then position; row
-order is channel-major then pixel. Applying the operator synthesizes a
-signal from coefficient maps; applying its transpose correlates the
-filters with a signal.
+output grid position (zero padding, "same"-style). Column order is
+filter-major then position; row order is channel-major then pixel.
+Applying the operator synthesizes a signal from coefficient maps;
+applying its transpose correlates the filters with a signal. Where each
+window sits is written once, in :attr:`ConvGeometry.corr_map`; the
+synthesis gather map, the index triplets and the Gram terms' pairing read
+it or its channel-0 inverse: a Gram term pairs two blocks by the pixel
+each tap of one touches and the site of the other that reads that pixel.
 """
 
 from __future__ import annotations
@@ -47,30 +50,13 @@ class FrameBuildError(ValueError):
 # convolution operators
 
 
-@functools.lru_cache(maxsize=256)
 def conv_operator_entries(channels: int, filters: int, spatial: int,
                           filter_size: int, stride: int, ndim: int):
-    """Index triplets (rows, cols, taps) of the synthesis conv matrix.
-
-    The matrix has shape (channels * spatial**ndim, filters * q**ndim) with
-    q = ceil(spatial / stride), and entry (rows[i], cols[i]) equals
-    filter_bank.flat[taps[i]]. Window positions falling outside the grid
-    are dropped (zero padding). Entries are ordered by filter, then output
-    position, then channel, then tap (row-major over every grid axis), so
-    reductions over ``taps`` sum in a fixed order. They are read off the
-    geometry's ``corr_map`` (see :class:`ConvGeometry`). Results are cached
-    per geometry and shared; callers must not modify the returned arrays.
-    """
+    """Index triplets (rows, cols, taps) and shape of the synthesis conv
+    matrix of a geometry: see :attr:`ConvGeometry.entries`."""
     if ndim not in (1, 2):
         raise ValueError(f"ndim must be 1 or 2, got {ndim}")
-    g = ConvGeometry(channels, filters, spatial, filter_size, stride, ndim)
-    rows = g.corr_map.T  # (position, channel*tap)
-    grid = (filters,) + rows.shape
-    cols = np.arange(g.shape[1]).reshape(filters, -1, 1)
-    taps = np.arange(filters * rows.shape[1]).reshape(filters, 1, -1)
-    inside = np.broadcast_to(rows < g.shape[0], grid)
-    return (np.broadcast_to(rows, grid)[inside], np.broadcast_to(cols, grid)[inside],
-            np.broadcast_to(taps, grid)[inside], g.shape)
+    return ConvGeometry(channels, filters, spatial, filter_size, stride, ndim).entries
 
 
 def conv_gram_nonzeros(layer: LayerSpec) -> int:
@@ -125,17 +111,6 @@ class Diagonal:
         return self.d * self.d
 
 
-def _window_grid(index: np.ndarray, ok: np.ndarray, radix: int, ndim: int):
-    """Per-axis (taps x sites) indices and masks, combined row-major over ``ndim`` axes."""
-    idx, mask = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1), dtype=bool)
-    for _ in range(ndim):
-        idx = idx[:, None, :, None] * radix + index[None, :, None, :]
-        mask = mask[:, None, :, None] & ok[None, :, None, :]
-        shape = (idx.shape[0] * idx.shape[1], idx.shape[2] * idx.shape[3])
-        idx, mask = idx.reshape(shape), mask.reshape(shape)
-    return idx, mask
-
-
 @dataclass(frozen=True, eq=False)
 class ConvGeometry:
     """The shape of one convolution block and its gather maps.
@@ -143,11 +118,14 @@ class ConvGeometry:
     S is the (channels * p**ndim) x (filters * q**ndim) synthesis matrix
     of the layer, q = ceil(p / stride) (see the module docstring). The maps
     are built from the geometry on first use and kept, so a structure
-    builds each once: ``corr_map`` (channels*taps x positions) names the
-    row of a signal each tap of each window reads, and ``synth_map``
-    (filters*taps x pixels) the column of the codes each tap places on
-    each pixel. A tap that reads or places nothing (off the grid, or
-    between strides) names the zero row appended after the last one.
+    builds each once. ``corr_map`` (channels*taps x windows) names the row
+    of a signal each tap of each window reads; it alone places the windows,
+    and everything else is read off it. ``inverse_map`` (taps x pixels)
+    inverts its channel 0: the window whose tap u reads pixel x.
+    ``synth_map`` (filters*taps x pixels) is that inverse over the filters:
+    the column of the codes each tap places on each pixel. A tap that reads
+    or places nothing (off the grid, or between strides) names the zero row
+    appended after the last one, or the window count in ``inverse_map``.
     """
 
     channels: int
@@ -165,26 +143,46 @@ class ConvGeometry:
 
     @property
     def entries(self):
-        """S's index triplets: see :func:`conv_operator_entries`."""
-        return conv_operator_entries(self.channels, self.filters, self.spatial,
-                                     self.filter, self.stride, self.ndim)
+        """S's index triplets and shape (rows, cols, taps, shape): entry
+        (rows[i], cols[i]) of S is ``bank.flat[taps[i]]`` of the filter bank.
+
+        Read off ``corr_map`` on each call, dropping the taps off the grid
+        (zero padding), and ordered by filter, then window, then channel,
+        then tap, so reductions over ``taps`` sum in a fixed order.
+        """
+        rows = self.corr_map.T  # (window, channel*tap)
+        grid = (self.filters,) + rows.shape
+        cols = np.arange(self.shape[1]).reshape(self.filters, -1, 1)
+        taps = np.arange(self.filters * rows.shape[1]).reshape(self.filters, 1, -1)
+        inside = np.broadcast_to(rows < self.shape[0], grid)
+        return (np.broadcast_to(rows, grid)[inside], np.broadcast_to(cols, grid)[inside],
+                np.broadcast_to(taps, grid)[inside], self.shape)
 
     @functools.cached_property
     def corr_map(self) -> np.ndarray:
-        p, f, s = self.spatial, self.filter, self.stride
+        p, f, s, n = self.spatial, self.filter, self.stride, self.ndim
         coord = np.arange(f)[:, None] + np.arange(0, p, s)[None, :] - (f - 1) // 2
-        pixel, inside = _window_grid(coord, (coord >= 0) & (coord < p), p, self.ndim)
-        rows = np.arange(self.channels)[:, None, None] * p ** self.ndim + pixel
-        return np.where(inside, rows, self.shape[0]).reshape(-1, pixel.shape[1])
+        # off the grid an axis reads -p**n, which keeps the flat pixel negative
+        coord = np.where((coord >= 0) & (coord < p), coord, -p ** n)
+        pixel = np.zeros((1, 1), dtype=np.intp)
+        for _ in range(n):  # taps and windows row-major over the grid axes
+            pixel = pixel[:, None, :, None] * p + coord[None, :, None, :]
+            pixel = pixel.reshape(pixel.shape[0] * f, -1)
+        rows = np.arange(self.channels)[:, None, None] * p ** n + pixel
+        return np.where(pixel >= 0, rows, self.shape[0]).reshape(-1, pixel.shape[1])
+
+    @functools.cached_property
+    def inverse_map(self) -> np.ndarray:
+        reads, pixels = self.corr_map[:self.filter ** self.ndim], self.spatial ** self.ndim
+        inverse = np.full((len(reads), pixels + 1), reads.shape[1])
+        inverse[np.arange(len(reads))[:, None], np.minimum(reads, pixels)] = np.arange(reads.shape[1])
+        return inverse[:, :pixels]
 
     @functools.cached_property
     def synth_map(self) -> np.ndarray:
-        p, f, s = self.spatial, self.filter, self.stride
-        q = -(-p // s)
-        start, off = np.divmod(np.arange(p)[None, :] + (f - 1) // 2 - np.arange(f)[:, None], s)
-        site, placed = _window_grid(start, (off == 0) & (start >= 0) & (start < q), q, self.ndim)
-        cols = np.arange(self.filters)[:, None, None] * q ** self.ndim + site
-        return np.where(placed, cols, self.shape[1]).reshape(-1, site.shape[1])
+        inverse, windows = self.inverse_map, self.corr_map.shape[1]
+        cols = np.arange(self.filters)[:, None, None] * windows + inverse
+        return np.where(inverse < windows, cols, self.shape[1]).reshape(-1, inverse.shape[1])
 
 
 class Convolution:
@@ -544,97 +542,70 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, dict[int, np.ndarray]]:
 # ---------------------------------------------------------------------------
 # Gram structure
 #
-# On a shared row group, a conv or identity block is a bank read through
-# windows (_Window), and column (a, t) of one meets column (b, t') of the
-# other only where their windows overlap: t' = t + delta for a few offsets
-# delta per grid axis (Papyan, Romano & Elad, JMLR 2017). The row group's
-# term of the Gram block is then, per offset,
+# On a shared row group, a conv or identity block is a bank whose column
+# (a, t) holds bank[a, c, u] on channel c of the row group at the pixel
+# touch[u, t] (see _reads). Column (a, t) of one block meets column
+# (b, t') of the other only where they share a pixel: right tap u' meets
+# left tap u of site t exactly where t' = inverse[u', touch[u, t]] is a
+# site, with inverse the right block's touch map inverted, and then at
+# offset delta = t' - t per grid axis. Only a few offsets occur (Papyan,
+# Romano & Elad, JMLR 2017). The row group's term of the Gram block is
+# then, per offset,
 #
 #     G_delta[a, b, t] = sum_u P_delta[a, b, u] * m_delta[u, t]
 #     P_delta[a, b, u] = sum_c A[a, c, u] * B[b, c, u'(delta, u)]
 #
-# with u'(delta, u) the right tap on the pixel of left tap u, and
-# m_delta[u, t] = 1 where left tap u of site t lands on the grid and the
-# right site t + delta exists. Offsets, tap pairing and masks depend on the
-# structure alone; the banks and the column norms fill them in.
+# with u'(delta, u) the right tap meeting left tap u at offset delta, and
+# m_delta[u, t] = 1 where it does at site t. Offsets, tap pairing and masks
+# depend on the two maps alone; the banks and the column norms fill them in.
 
 
-@dataclass(frozen=True)
-class _Window:
-    """A conv or identity block on its row group, read as windows.
+def _reads(st: FrameStructure, b: BlockDef, sites: int):
+    """How conv or identity block ``b`` reads its row group: its (features,
+    channels), its touch map (taps x sites: the pixel that tap u of site t
+    reads on each channel) and that map's inverse (taps x pixels: the site
+    whose tap u reads pixel x). Pixels and sites off the grid are the
+    pixel and site counts.
 
-    Column (a, t) holds ``bank[a, c, u]`` on channel c of the row group at
-    pixel ``stride * t + taps[u]`` of each grid axis (taps and sites
-    row-major over ``ndim`` axes; pixels off the ``grid`` are absent). S is
-    its filters over its channels; a coupling -S^T has a column per
-    (channel, pixel) of S, reading the windows that S places on that pixel
-    with reversed taps; an identity is a 1x1 filter over channels.
-    """
-
-    features: int
-    channels: int
-    taps: tuple[int, ...]
-    stride: int
-    sites: int
-    grid: int
-    ndim: int
-
-
-def _window(st: FrameStructure, b: BlockDef, partner: BlockDef) -> _Window:
-    """The window of conv or identity block ``b`` in a term with ``partner``.
-
-    An identity takes the channels and pixels of its row group from a conv
-    partner, else from the conv layer of either column group.
+    S touches through channel 0 of ``corr_map``. A coupling -S^T has a
+    column per channel and pixel of S, which reads the windows that S
+    places on that pixel: it touches through ``inverse_map``, whose inverse
+    is ``corr_map``. An identity is a 1x1 filter over the channels.
     """
     if b.form == "conv":
         g = st.conv_geometry[(b.row, b.col)]
-        half = (g.filter - 1) // 2
+        maps = np.minimum(g.corr_map[:g.filter ** g.ndim], g.spatial ** g.ndim), g.inverse_map
         if b.is_diagonal:
-            return _Window(g.filters, g.channels, tuple(range(-half, g.filter - half)),
-                           g.stride, -(-g.spatial // g.stride), g.spatial, g.ndim)
-        return _Window(g.channels, g.filters, tuple(range(half, half - g.filter, -1)),
-                       1, g.spatial, g.spatial, g.ndim)
-    if partner.form == "conv":
-        w = _window(st, partner, b)
-        channels, grid, ndim = w.channels, w.grid, w.ndim
-    else:
-        ly = next(ly for ly in (st.spec.layers[b.col], st.spec.layers[partner.col]) if ly.is_conv)
-        channels, grid, ndim = ly.width, ly.spatial, ly.ndim
-    return _Window(channels, channels, (0,), 1, grid, grid, ndim)
+            return (g.filters, g.channels), maps
+        return (g.channels, g.filters), maps[::-1]
+    pixels = np.arange(sites)[None]
+    return (b.placed_shape[0] // sites,) * 2, (pixels, pixels)
 
 
-def _offsets(left: _Window, right: _Window):
-    """The offsets (D x ndim) at which two windows meet, the right tap
+def _pairing(touch: np.ndarray, inverse: np.ndarray, sites: int, ndim: int):
+    """The offsets (D x ndim) at which a left block with ``touch`` meets a
+    right block with ``inverse`` (see :func:`_reads`), the right tap
     meeting each left tap (D x left taps; the right tap count where none
     does), the masks (D x left taps x sites) as floats, which of them meet
     at all (D x sites) and the right site of each (see :func:`_dest`), all
-    row-major over the grid axes."""
-    s, n_sites = left.stride, left.sites
-    lt, rt = np.array(left.taps), np.array(right.taps)
-    diff = lt[:, None] - rt[None, :]
-    lo = -(-diff.min() // s)
-    deltas = np.arange(lo, diff.max() // s + 1)
-    u, v = np.nonzero(diff % s == 0)
-    partner1 = np.full((deltas.size, lt.size), rt.size)
-    partner1[diff[u, v] // s - lo, u] = v
-    pixel = s * np.arange(n_sites) + lt[:, None]
-    dest = np.arange(n_sites) + deltas[:, None]
-    mask1 = ((partner1 < rt.size)[:, :, None] & ((pixel >= 0) & (pixel < left.grid))[None]
-             & ((dest >= 0) & (dest < n_sites))[:, None, :])
-    offsets = np.zeros((1, 0), dtype=np.intp)
-    partner, mask = np.zeros((1, 1), dtype=np.intp), np.ones((1, 1, 1), dtype=bool)
-    for _ in range(left.ndim):
-        offsets = np.concatenate((np.repeat(offsets, deltas.size, axis=0),
-                                  np.tile(deltas, len(offsets))[:, None]), axis=1)
-        partner = (partner[:, None, :, None] * rt.size + partner1[None, :, None, :])
-        mask = mask[:, None, :, None, :, None] & mask1[None, :, None, :, None, :]
-        partner = partner.reshape(len(offsets), -1)
-        mask = mask.reshape(partner.shape + (-1,))
-    keep = mask.any(axis=(1, 2))
-    partner = np.where(mask.any(axis=2), partner, rt.size ** left.ndim)
-    offsets, mask = offsets[keep], mask[keep]
-    return (offsets, partner[keep], mask.astype(float), mask.any(axis=1),
-            _dest(offsets, n_sites))
+    row-major over the ``ndim`` grid axes of ``sites`` sites each."""
+    n_sites = touch.shape[1]
+    inverse = np.append(inverse, np.full((len(inverse), 1), n_sites), axis=1)
+    meet = inverse[:, touch]  # the right site of right tap u' on left tap u of site t
+    valid = meet < n_sites
+    # a pair of taps that meets does so at one offset: read it off one site
+    right, left = np.nonzero(valid.any(axis=2))
+    site = valid.argmax(axis=2)[right, left]
+    coords = np.indices((sites,) * ndim).reshape(ndim, -1)
+    delta = coords[:, meet[right, left, site]] - coords[:, site]
+    code = (2 * sites - 1) ** np.arange(ndim - 1, -1, -1) @ delta  # sorts offsets row-major
+    _, first, slot = np.unique(code, return_index=True, return_inverse=True)
+    offsets = delta[:, first].T
+    partner = np.full((len(first), len(touch)), len(inverse))
+    partner[slot, left] = right
+    mask = np.zeros((len(first),) + touch.shape, dtype=bool)
+    mask[slot, left] = valid[right, left]
+    return offsets, partner, mask.astype(float), mask.any(axis=1), _dest(offsets, sites)
 
 
 def _dest(offsets: np.ndarray, sites: int) -> np.ndarray:
@@ -646,15 +617,15 @@ def _dest(offsets: np.ndarray, sites: int) -> np.ndarray:
     return np.where(((moved >= 0) & (moved < sites)).all(axis=1), flat, sites ** ndim)
 
 
-def _bank(blk: Block, w: _Window) -> tuple[np.ndarray, np.ndarray | None]:
-    """A conv or identity block's bank (features x channels x taps) and the
-    factor of each of its columns, if any: 1/norms for a conv block, the
-    diagonal of an identity (held as a :class:`Diagonal` or densely)."""
+def _bank(blk: Block, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
+    """A conv or identity block's bank (features x channels x taps, given
+    ``shape`` = (features, channels)) and the factor of each of its columns,
+    if any: 1/norms for a conv block, the diagonal of an identity (held as
+    a :class:`Diagonal` or densely)."""
     if isinstance(blk, Convolution):
         bank = blk.synth_bank if blk.coupling else blk.bank
-        return (bank.reshape(w.features, w.channels, -1),
-                None if blk.norms is None else 1.0 / blk.norms)
-    return np.eye(w.features)[:, :, None], blk.d if isinstance(blk, Diagonal) else np.diagonal(blk)
+        return bank.reshape(shape + (-1,)), None if blk.norms is None else 1.0 / blk.norms
+    return np.eye(shape[0])[:, :, None], blk.d if isinstance(blk, Diagonal) else np.diagonal(blk)
 
 
 class _OffsetTerm:
@@ -662,34 +633,39 @@ class _OffsetTerm:
 
     def __init__(self, st: FrameStructure, left: BlockDef, right: BlockDef, shapes: dict):
         self.keys = ((left.row, left.col), (right.row, right.col))
-        self.windows = wl, wr = (_window(st, left, right), _window(st, right, left))
+        # blocks share row groups only in stride-1 specs, or within one layer,
+        # so every conv layer has the term's grid
+        ly = next(ly for ly in st.spec.layers if ly.is_conv)
+        self.sites, self.ndim = ly.grid_out, ly.ndim
+        (self.left, (touch, _)), (self.right, (_, inverse)) = (
+            _reads(st, b, self.sites ** self.ndim) for b in (left, right))
         self.identities = left.role == right.role == "identity"
-        shape = (wl.taps, wr.taps, wl.stride, wl.sites, wl.grid, wl.ndim)
-        if shape not in shapes:
-            shapes[shape] = _offsets(wl, wr)
-        # touch: where columns (a, t) and (b, t + delta) share a row
-        self.offsets, self.partner, self.mask, self.touch, self.dest = shapes[shape]
+        key = (touch.tobytes(), inverse.tobytes())  # terms of equal maps share their pairing
+        if key not in shapes:
+            shapes[key] = _pairing(touch, inverse, self.sites, self.ndim)
+        # meets: where columns (a, t) and (b, t + delta) share a row
+        self.offsets, self.partner, self.mask, self.meets, self.dest = shapes[key]
 
     @property
     def nbytes(self) -> int:
-        (wl, wr), (n_off, _, sites) = self.windows, self.mask.shape
-        return 8 * n_off * wl.features * wr.features * sites
+        n_off, _, sites = self.mask.shape
+        return 8 * n_off * self.left[0] * self.right[0] * sites
 
     def values(self, placed: dict[tuple[int, int], Block]) -> np.ndarray:
         """G_delta[a, b, t] (offsets x left features x right features x sites),
         divided by both sides' column norms."""
-        (wl, wr), (n_off, n_taps, sites) = self.windows, self.mask.shape
-        left, left_factor = _bank(placed[self.keys[0]], wl)
-        right, right_factor = _bank(placed[self.keys[1]], wr)
+        (n_off, n_taps, sites), f_l, f_r = self.mask.shape, self.left[0], self.right[0]
+        left, left_factor = _bank(placed[self.keys[0]], self.left)
+        right, right_factor = _bank(placed[self.keys[1]], self.right)
         right = np.concatenate((right, np.zeros(right.shape[:2] + (1,))), axis=2)
         meet = np.matmul(left.transpose(2, 0, 1), right[:, :, self.partner].transpose(2, 3, 1, 0))
         out = np.matmul(meet.reshape(n_off, n_taps, -1).transpose(0, 2, 1), self.mask)
-        out = out.reshape(n_off, wl.features, wr.features, sites)
+        out = out.reshape(n_off, f_l, f_r, sites)
         if left_factor is not None:
-            out *= left_factor.reshape(wl.features, 1, sites)
+            out *= left_factor.reshape(f_l, 1, sites)
         if right_factor is not None:
-            right_factor = np.append(right_factor.reshape(wr.features, sites),
-                                     np.zeros((wr.features, 1)), axis=1)
+            right_factor = np.append(right_factor.reshape(f_r, sites),
+                                     np.zeros((f_r, 1)), axis=1)
             out *= right_factor[:, self.dest].transpose(1, 0, 2)[:, None]
         return out
 
@@ -788,18 +764,18 @@ class _PairPlan:
             index = {o: d for d, o in enumerate(offsets)}
             self.slots = [np.array([index[o] for o in map(tuple, t.offsets.tolist())])
                           for t in self.terms]
-            wl, wr = self.terms[0].windows
+            first = self.terms[0]
+            f_l, f_r = first.left[0], first.right[0]
             widest = max(self.terms, key=lambda t: len(t.offsets))
             self.dest = (widest.dest if len(widest.offsets) == len(offsets)
-                         else _dest(self.offsets, wl.sites))
+                         else _dest(self.offsets, first.sites))
             full, eye = np.zeros((2,) + self.dest.shape, dtype=bool)
             for term, slot in zip(self.terms, self.slots):
-                (eye if term.identities else full)[slot] |= term.touch
-            count = (wl.features * wr.features * np.count_nonzero(full)
-                     + wl.features * np.count_nonzero(eye & ~full))
+                (eye if term.identities else full)[slot] |= term.meets
+            count = f_l * f_r * np.count_nonzero(full) + f_l * np.count_nonzero(eye & ~full)
             if self.diagonal:
-                count -= wl.features * np.count_nonzero((full | eye)[index[(0,) * wl.ndim]])
-            self.nbytes = 8 * self.dest.size * wl.features * wr.features
+                count -= f_l * np.count_nonzero((full | eye)[index[(0,) * first.ndim]])
+            self.nbytes = 8 * self.dest.size * f_l * f_r
             self.term_bytes = [t.nbytes for t in self.terms]
         self.count = int(count if self.diagonal else 2 * count)
 
@@ -884,8 +860,9 @@ def gram(frame: GlobalFrame) -> GramStructure:
     column groups of conv and identity blocks comes out as a
     :class:`ConvGram`, computed from the filter banks per offset; any other
     pair (one touching a dense block, or of fully connected layers alone)
-    as a dense array of block products. No conv block is densified. Refuses, before it allocates the blocks, a structure
-    whose :func:`gram_bytes` exceed :data:`GRAM_BYTE_LIMIT`.
+    as a dense array of block products. No conv block is densified.
+    Refuses, before it allocates the blocks, a structure whose
+    :func:`gram_bytes` exceed :data:`GRAM_BYTE_LIMIT`.
     """
     st = frame.structure
     need = gram_bytes(st)

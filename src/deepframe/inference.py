@@ -213,17 +213,13 @@ def _zero_start(frame: GlobalFrame, x: np.ndarray):
 
 def _objective(res: list[np.ndarray], codes: list[np.ndarray],
                lams: list[float]) -> np.ndarray:
-    """Per signal, the penalty plus 1/2 ||R||^2 for codes known to be nonnegative.
-
-    Each column is summed as a vector of its own, so a one-column batch
-    gives the same value as that signal's vector.
-    """
+    """Per signal, the penalty plus 1/2 ||R||^2 for codes known to be nonnegative."""
     total = np.zeros(codes[0].shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for lam, w in zip(lams, codes):
             total += lam * w.sum(axis=0)
         for r in res:
-            total += 0.5 * np.array([col @ col for col in r.T])
+            total += 0.5 * np.einsum("ij,ij->j", r, r)
     return total
 
 

@@ -36,6 +36,18 @@ def conv_spec(pattern, in_channels, spatial, widths, filt=3, stride=1, ndim=2,
     return parse_spec(doc)
 
 
+def mixed_spec(pattern, input_dim, layers, spatial=4):
+    """A spec mixing layer kinds: an int is a fully connected width, a
+    (width, channels) pair a 3x3 convolutional layer on a spatial x
+    spatial grid."""
+    doc_layers = [
+        {"kind": "fully_connected", "width": ly} if isinstance(ly, int) else
+        {"kind": "convolutional", "width": ly[0], "channels": ly[1], "spatial": spatial,
+         "filter": 3, "stride": 1, "ndim": 2}
+        for ly in layers]
+    return parse_spec({"input_dim": input_dim, "layers": doc_layers, "connectivity": pattern})
+
+
 def random_specs(count, rng=None, max_depth=4, max_width=16):
     """A reproducible stream of varied small specs, cycling the patterns.
 

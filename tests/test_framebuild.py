@@ -16,7 +16,21 @@ from deepframe.framebuild import (
 )
 
 from conftest import (conv_spec, fc_spec, gram_full, loop_conv_entries,
-                      materialize_conv_operator, random_specs)
+                      materialize_conv_operator, mixed_spec, random_specs)
+
+
+# frames of fully connected and convolutional layers: identities between
+# the kinds, offset terms summed into dense pairs, dense blocks beside conv
+MIXED = [
+    mixed_spec("chain", 5, [32, (3, 2)]),
+    mixed_spec("chain", 32, [(3, 2), 7]),
+    mixed_spec("dense", 32, [(3, 2), 7]),
+    mixed_spec("dense", 32, [(3, 2), (2, 3), 5]),
+    mixed_spec("residual", 6, [32, (2, 2), (2, 2)]),
+    mixed_spec({"custom": [[2, 0]]}, 32, [(3, 2), 48, (3, 3)]),
+]
+MIXED_IDS = ["fc-conv-chain", "conv-fc-chain", "conv-fc-dense", "conv-conv-fc-dense",
+             "fc-conv-conv-residual", "conv-fc-conv-custom"]
 
 
 def naive_conv_apply(bank, signal, spatial, stride, ndim):
@@ -278,9 +292,10 @@ def test_gram_trace_and_counts():
     conv_spec("chain", 2, 6, [4], filt=4, stride=2),
     conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
     conv_spec("dense", 2, 4, [2, 2, 2]),
+    *MIXED,
 ], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv-stride2",
         "conv1d-residual", "conv-dense", "conv-stride2-f4", "conv1d-residual-2ch",
-        "conv-dense-2ch"])
+        "conv-dense-2ch", *MIXED_IDS])
 def test_offdiag_count_equals_support_overlap(spec):
     # the structural count is the overlap count of the materialized supports
     frame = build_global_frame(spec, seed=3)
@@ -297,8 +312,9 @@ def test_offdiag_count_equals_support_overlap(spec):
     conv_spec("chain", 2, 4, [3, 2]),
     conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
     conv_spec("dense", 2, 4, [2, 2, 2]),
+    *MIXED,
 ], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv1d-residual",
-        "conv-dense"])
+        "conv-dense", *MIXED_IDS])
 def test_gram_blocks_equal_dense_slices(spec):
     # identity couplings enter as diagonal scalings; every block still
     # equals its slice of the dense product, and absent pairs are zero
