@@ -512,41 +512,26 @@ def block_table(spec: ArchitectureSpec) -> list[BlockDef]:
                 raise ValueError(f"identity block ({j}, {k}) is not square: {placed}")
             out.append(BlockDef(j, k, role, "dense", placed, placed))
             continue
-        row_layer = spec.layers[j]
-        col_layer = spec.layers[k]
-        if j == k:
-            # diagonal learnable: stored as placed
-            if row_layer.is_conv:
-                nd = row_layer.ndim
-                shape = (row_layer.width, row_layer.channels) + (row_layer.filter_size,) * nd
-                conv = {
-                    "channels": row_layer.channels,
-                    "filters": row_layer.width,
-                    "spatial": row_layer.spatial,
-                    "filter": row_layer.filter_size,
-                    "stride": row_layer.stride,
-                    "ndim": nd,
-                }
-                out.append(BlockDef(j, k, role, "conv", shape, placed, conv))
-            else:
-                out.append(BlockDef(j, k, role, "dense", placed, placed))
-            continue
-        # off-diagonal learnable: stored transposed, (col space of k) x (row space of j)
-        stored = (spec.col_dim(k), spec.row_dim(j))
+        row_layer, col_layer = spec.layers[j], spec.layers[k]
         if row_layer.is_conv and col_layer.is_conv:
+            # a coupling's channels are the column layer's filters; multi-layer
+            # specs are validated to stride 1, so the row layer's stride holds
+            channels = row_layer.channels if j == k else col_layer.width
             nd = row_layer.ndim
-            shape = (row_layer.width, col_layer.width) + (row_layer.filter_size,) * nd
+            shape = (row_layer.width, channels) + (row_layer.filter_size,) * nd
             conv = {
-                "channels": col_layer.width,
+                "channels": channels,
                 "filters": row_layer.width,
                 "spatial": row_layer.spatial,
                 "filter": row_layer.filter_size,
-                "stride": 1,
+                "stride": row_layer.stride,
                 "ndim": nd,
             }
             out.append(BlockDef(j, k, role, "conv", shape, placed, conv))
         else:
-            out.append(BlockDef(j, k, role, "dense", stored, placed))
+            # a diagonal block is stored as placed, an off-diagonal one
+            # transposed: (col space of k) x (row space of j)
+            out.append(BlockDef(j, k, role, "dense", placed if j == k else placed[::-1], placed))
     return out
 
 

@@ -15,14 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .framebuild import ConvGram, Convolution, GlobalFrame, GramStructure, gram, normalize
-
-
-def _column_norms(blk) -> np.ndarray:
-    """Column norms of a learnable diagonal block, dense or conv."""
-    if isinstance(blk, Convolution):
-        return np.sqrt(blk.column_squares())
-    return np.linalg.norm(blk, axis=0)
+from .framebuild import (ConvGram, GlobalFrame, GramStructure, _column_squares, gram,
+                         normalize)
 
 
 def _as_gram(obj) -> GramStructure:
@@ -277,7 +271,7 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
         normalized = frame
         chain_mags = None
     else:
-        chain_mags = [_column_norms(frame.placed[(j, j)])
+        chain_mags = [np.sqrt(_column_squares(frame.placed[(j, j)]))
                       for j in range(frame.depth)] if spec.is_chain else None
         normalized = normalize(frame)[0]
     g = gram(normalized)

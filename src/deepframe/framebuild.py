@@ -53,7 +53,8 @@ class FrameBuildError(ValueError):
 def conv_operator_entries(channels: int, filters: int, spatial: int,
                           filter_size: int, stride: int, ndim: int):
     """Index triplets (rows, cols, taps) and shape of the synthesis conv
-    matrix of a geometry: see :attr:`ConvGeometry.entries`."""
+    matrix of a geometry: see :attr:`ConvGeometry.entries`. No production
+    code calls it; it is kept for perfbench and the tests' oracles."""
     if ndim not in (1, 2):
         raise ValueError(f"ndim must be 1 or 2, got {ndim}")
     return ConvGeometry(channels, filters, spatial, filter_size, stride, ndim).entries
@@ -148,7 +149,9 @@ class ConvGeometry:
 
         Read off ``corr_map`` on each call, dropping the taps off the grid
         (zero padding), and ordered by filter, then window, then channel,
-        then tap, so reductions over ``taps`` sum in a fixed order.
+        then tap, so reductions over ``taps`` sum in a fixed order. No
+        production code reads it (the minimizer's scatter map is read off
+        ``build``); it is kept for perfbench and the tests' oracles.
         """
         rows = self.corr_map.T  # (window, channel*tap)
         grid = (self.filters,) + rows.shape

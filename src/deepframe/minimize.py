@@ -9,12 +9,12 @@ to per-column rescaling of the raw parameters and no manifold machinery
 is needed.
 
 The descent runs on one flat vector theta of the learnable entries, which a
-map compiled once per call scatters into the dense operator. The gradient
-threads through the normalization analytically: with E the off-diagonal part
-of the normalized Gram matrix, the derivative with respect to the normalized
-operator is 4*B_n*E / count; each column is then projected onto the tangent
-of its unit sphere and divided by its raw norm, and the map's adjoint (one
-``np.bincount``) pulls that back to theta.
+map read once per call off the structure's ``build`` scatters into the dense
+operator. The gradient threads through the normalization analytically: with
+E the off-diagonal part of the normalized Gram matrix, the derivative with
+respect to the normalized operator is 4*B_n*E / count; each column is then
+projected onto the tangent of its unit sphere and divided by its raw norm,
+and the map's adjoint (one ``np.bincount``) pulls that back to theta.
 """
 
 from __future__ import annotations
@@ -100,8 +100,11 @@ class _FlatMap:
     theta holds the learnable blocks in block-table order, each row-major:
     a conv filter bank, or a dense block's placed matrix (an off-diagonal
     one is held transposed, so per-block sums run in the memory order of
-    its parameter array). Entry e, ``sign[e] * theta[source[e]]``, goes to
-    global flat ``index[e]``; identity couplings are constant entries.
+    its parameter array). The map is read off ``build``: theta's entries,
+    numbered 2, 3, ..., are placed once, so each lands where the structure
+    places it, with the sign it gives it. Entry e, ``sign[e] *
+    theta[source[e]]``, goes to global flat ``index[e]``, in row-major
+    order; the placed +-1 entries are the identity couplings' constants.
     """
 
     def __init__(self, spec: ArchitectureSpec):
@@ -114,32 +117,25 @@ class _FlatMap:
         if st.offdiag_count == 0:
             raise ValueError("this structure has no off-diagonal Gram entries; orthogonality "
                              "is attainable and there is nothing to minimize")
-        entries, consts = [], [(np.zeros(0, np.intp), np.zeros(0))]
         self.segments, self.diagonal, start = [], [], 0
-        for b in st.blocks:
-            key, r0, c0 = (b.row, b.col), st.row_off[b.row], st.col_off[b.col]
-            n_rows, n_cols = b.placed_shape
-            sign = 1.0 if b.is_diagonal else -1.0
-            if b.role == "identity":
-                eye = np.arange(n_rows)
-                consts.append(((r0 + eye) * width + c0 + eye, np.full(n_rows, sign)))
-                continue
-            if b.form == "conv":
-                rows, cols, src, _ = st.conv_geometry[key].entries
-                if not b.is_diagonal:
-                    rows, cols = cols, rows
-            else:
-                src = np.arange(n_rows * n_cols)
-                rows, cols = np.divmod(src, n_cols)
-            entries.append(((r0 + rows) * width + c0 + cols, start + src,
-                            np.full(src.size, sign)))
+        for b in st.learnable:
             self.segments.append((b, start, start + math.prod(b.shape)))
             start = self.segments[-1][2]
             if b.is_diagonal:
-                self.diagonal.append((key, slice(r0, r0 + n_rows), slice(c0, c0 + n_cols)))
+                r0, c0 = st.row_off[b.row], st.col_off[b.col]
+                self.diagonal.append(((b.row, b.col), slice(r0, r0 + b.placed_shape[0]),
+                                      slice(c0, c0 + b.placed_shape[1])))
         self.size = start
-        self.index, self.source, self.sign = map(np.concatenate, zip(*entries))
-        self.const_index, self.const_value = map(np.concatenate, zip(*consts))
+        numbered = st.build(params=self.unflatten(np.arange(2.0, start + 2)))
+        placed = numbered.materialize(max_cols=width).reshape(-1)
+        index = np.flatnonzero(placed)
+        value = placed[index]
+        del numbered, placed  # free the dense scratch before the map's lasting arrays
+        magnitude = np.abs(value)
+        learned = magnitude >= 2
+        self.index, self.source = index[learned], magnitude[learned].astype(np.intp) - 2
+        self.sign = np.sign(value[learned])
+        self.const_index, self.const_value = index[~learned], value[~learned]
 
     def flatten(self, params) -> np.ndarray:
         theta = np.empty(self.size)

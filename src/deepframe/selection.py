@@ -3,9 +3,11 @@
 The score of an architecture is the smallest normalized off-diagonal Gram
 energy its parameters can reach, found by :mod:`deepframe.minimize`. It
 is comparable across architectures of different sizes, so a set of
-candidates can be ordered before any training data exists. Ranking is
-pure bookkeeping on already-evaluated candidates; the evaluation itself
-lives in :func:`evaluate_candidate` so batch drivers can parallelize it.
+candidates can be ordered before any training data exists. Each candidate
+is evaluated once, by that minimization: the coherence reported beside the
+score is the one it measured at the winning parameters. Ranking is pure
+bookkeeping on already-evaluated candidates; the evaluation itself lives in
+:func:`evaluate_candidate` so batch drivers can parallelize it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .archspec import ArchitectureSpec, param_count
-from .coherence import CoherenceReport, analyze
 from .minimize import MinimizeOptions, MinimizeResult, minimize_deep_frame_potential
 
 
@@ -23,17 +24,16 @@ class SelectionError(ValueError):
 
 @dataclass(frozen=True)
 class Candidate:
-    """One architecture with its score and frame diagnostics.
+    """One architecture with its minimization result.
 
-    ``report`` describes the normalized frame at the minimizing
-    parameters, not at a random draw, so its coherence column can sit
-    next to the score in the same table.
+    The ``mutual_coherence`` column is ``result.mu``, the coherence the
+    descent measured at the minimizing parameters, not at a random draw,
+    so it can sit next to the score in the same table.
     """
 
     spec: ArchitectureSpec
     result: MinimizeResult
     param_count: int
-    report: CoherenceReport
 
     @property
     def name(self) -> str:
@@ -48,7 +48,7 @@ class Candidate:
             "name": self.name,
             "param_count": self.param_count,
             "score": self.score,
-            "mutual_coherence": self.report.mutual_coherence,
+            "mutual_coherence": self.result.mu,
             "seed": self.result.seed,
             "iterations": self.result.iterations,
         }
@@ -56,12 +56,11 @@ class Candidate:
 
 def evaluate_candidate(spec: ArchitectureSpec,
                        options: MinimizeOptions | None = None) -> Candidate:
-    """Minimize one architecture's potential and bundle the diagnostics."""
+    """Minimize one architecture's potential and bundle the result."""
     opts = MinimizeOptions() if options is None else options
     result = minimize_deep_frame_potential(spec, opts)
     return Candidate(spec=spec, result=result,
-                     param_count=result.frame.structure.param_count,
-                     report=analyze(result.frame))
+                     param_count=result.frame.structure.param_count)
 
 
 @dataclass(frozen=True)
@@ -88,8 +87,7 @@ class RankingReport:
     def csv_rows(self) -> list[list[str]]:
         head = ["name", "param_count", "score", "mutual_coherence"]
         body = [
-            [c.name, str(c.param_count), repr(c.score),
-             repr(c.report.mutual_coherence)]
+            [c.name, str(c.param_count), repr(c.score), repr(c.result.mu)]
             for c in self.candidates
         ]
         return [head, *body]

@@ -48,6 +48,20 @@ def mixed_spec(pattern, input_dim, layers, spatial=4):
     return parse_spec({"input_dim": input_dim, "layers": doc_layers, "connectivity": pattern})
 
 
+# frames of fully connected and convolutional layers: identities between
+# the kinds, offset terms summed into dense pairs, dense blocks beside conv
+MIXED = [
+    mixed_spec("chain", 5, [32, (3, 2)]),
+    mixed_spec("chain", 32, [(3, 2), 7]),
+    mixed_spec("dense", 32, [(3, 2), 7]),
+    mixed_spec("dense", 32, [(3, 2), (2, 3), 5]),
+    mixed_spec("residual", 6, [32, (2, 2), (2, 2)]),
+    mixed_spec({"custom": [[2, 0]]}, 32, [(3, 2), 48, (3, 3)]),
+]
+MIXED_IDS = ["fc-conv-chain", "conv-fc-chain", "conv-fc-dense", "conv-conv-fc-dense",
+             "fc-conv-conv-residual", "conv-fc-conv-custom"]
+
+
 def random_specs(count, rng=None, max_depth=4, max_width=16):
     """A reproducible stream of varied small specs, cycling the patterns.
 

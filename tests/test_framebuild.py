@@ -15,22 +15,8 @@ from deepframe.framebuild import (
     normalize,
 )
 
-from conftest import (conv_spec, fc_spec, gram_full, loop_conv_entries,
-                      materialize_conv_operator, mixed_spec, random_specs)
-
-
-# frames of fully connected and convolutional layers: identities between
-# the kinds, offset terms summed into dense pairs, dense blocks beside conv
-MIXED = [
-    mixed_spec("chain", 5, [32, (3, 2)]),
-    mixed_spec("chain", 32, [(3, 2), 7]),
-    mixed_spec("dense", 32, [(3, 2), 7]),
-    mixed_spec("dense", 32, [(3, 2), (2, 3), 5]),
-    mixed_spec("residual", 6, [32, (2, 2), (2, 2)]),
-    mixed_spec({"custom": [[2, 0]]}, 32, [(3, 2), 48, (3, 3)]),
-]
-MIXED_IDS = ["fc-conv-chain", "conv-fc-chain", "conv-fc-dense", "conv-conv-fc-dense",
-             "fc-conv-conv-residual", "conv-fc-conv-custom"]
+from conftest import (MIXED, MIXED_IDS, conv_spec, fc_spec, gram_full, loop_conv_entries,
+                      materialize_conv_operator, random_specs)
 
 
 def naive_conv_apply(bank, signal, spatial, stride, ndim):

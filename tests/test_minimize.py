@@ -15,7 +15,7 @@ from deepframe.minimize import (
     potential_gradient,
 )
 
-from conftest import conv_spec, fc_spec
+from conftest import MIXED, MIXED_IDS, conv_spec, fc_spec
 
 
 def objective_at(spec, params):
@@ -123,6 +123,7 @@ MAP_SPECS = [
     pytest.param(conv_spec("dense", 2, 4, [3, 2, 2]), id="conv-dense"),
     pytest.param(conv_spec("dense", 2, 8, [3, 2], ndim=1), id="conv-dense-1d"),
     pytest.param(conv_spec("chain", 2, 5, [3], filt=4, stride=2), id="conv-stride2"),
+    *[pytest.param(spec, id=name) for spec, name in zip(MIXED, MIXED_IDS)],
 ]
 
 
@@ -223,6 +224,7 @@ def block_descent(spec, seed, opts):
     pytest.param(fc_spec("residual", 4, [4, 3, 4]), id="fc-residual"),
     pytest.param(conv_spec("dense", 2, 4, [3, 2, 2]), id="conv-dense"),
     pytest.param(conv_spec("chain", 2, 3, [4, 4]), id="conv-chain"),
+    *[pytest.param(spec, id=name) for spec, name in zip(MIXED, MIXED_IDS)],
 ])
 def test_flat_descent_reproduces_block_descent_bitwise(spec):
     # the flat descent keeps every sum order of the block-dict descent,

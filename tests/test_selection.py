@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from deepframe.coherence import analyze
 from deepframe.framebuild import FrameStructure
 from deepframe.minimize import MinimizeOptions
 from deepframe.selection import SelectionError, evaluate_candidate, rank
@@ -29,13 +30,16 @@ def test_candidate_carries_consistent_report():
     (cand,) = make_candidates([fc_spec("chain", 3, [5, 4], name="c")])
     assert cand.param_count == 3 * 5 + 5 * 4
     assert cand.score == cand.result.objective
-    # the coherence column comes from the minimizing parameters
-    assert cand.report.mutual_coherence == pytest.approx(cand.result.mu,
-                                                         abs=1e-12)
+    # the coherence column is the one minimize measured at the minimizing
+    # parameters, and a fresh analysis of that frame agrees with it
+    mu = cand.to_dict()["mutual_coherence"]
+    assert mu == cand.result.mu
+    assert rank([cand]).csv_rows()[1][3] == repr(mu)
+    assert analyze(cand.result.frame).mutual_coherence == pytest.approx(mu, abs=1e-12)
 
 
 def test_candidate_compiles_one_structure(monkeypatch):
-    # the report reuses the structure (and its structural count) minimize compiled
+    # minimize compiles the structure once, and its frame carries it
     compiled = []
     real_init = FrameStructure.__init__
 
@@ -65,7 +69,7 @@ def test_candidate_builds_one_block_table(monkeypatch):
     monkeypatch.setattr(framebuild, "block_table", counting)
     (cand,) = make_candidates([fc_spec("residual", 3, [5, 4, 5], name="r")])
     assert len(calls) == 1
-    assert cand.param_count == cand.report.param_count == archspec.param_count(cand.spec)
+    assert cand.param_count == archspec.param_count(cand.spec)
 
 
 def test_identical_specs_tie_break_lexicographically():
