@@ -32,6 +32,11 @@ from typing import Any, Iterable, Mapping
 
 LAYER_KINDS = ("fully_connected", "convolutional")
 NAMED_PATTERNS = ("chain", "residual", "dense")
+# JSON name -> LayerSpec attribute of each positive-integer convolutional field
+_CONV_FIELDS = {"channels": "channels", "spatial": "spatial", "filter": "filter_size",
+                "stride": "stride"}
+# every field a layer may carry; a fully connected layer takes only the first two
+_LAYER_FIELDS = ("kind", "width", *_CONV_FIELDS, "ndim")
 
 
 class SpecError(ValueError):
@@ -212,6 +217,10 @@ def _structural_pairs(spec_kind: str, pairs: Iterable[tuple[int, int]], depth: i
     return out
 
 
+def _positive_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def _validate_layer(i: int, raw: Mapping[str, Any], errors: list[str]) -> LayerSpec | None:
     loc = f"layers[{i}]"
     if not isinstance(raw, Mapping):
@@ -221,66 +230,33 @@ def _validate_layer(i: int, raw: Mapping[str, Any], errors: list[str]) -> LayerS
     if kind not in LAYER_KINDS:
         errors.append(f"{loc}.kind: expected one of {LAYER_KINDS}, got {kind!r}")
         return None
-    width = raw.get("width")
-    ok = True
-    if not isinstance(width, int) or isinstance(width, bool) or width <= 0:
-        errors.append(f"{loc}.width: expected a positive integer, got {width!r}")
-        ok = False
-
-    conv_fields = ("channels", "spatial", "filter", "stride")
-    if kind == "fully_connected":
-        stray = [f for f in conv_fields + ("ndim",) if f in raw]
+    before, conv = len(errors), kind == "convolutional"
+    for f in _LAYER_FIELDS[1:-1] if conv else ("width",):
+        if not _positive_int(raw.get(f)):
+            errors.append(f"{loc}.{f}: expected a positive integer, got {raw.get(f)!r}")
+    ndim = raw.get("ndim", 2)
+    if not conv:
+        stray = [f for f in _LAYER_FIELDS[2:] if f in raw]
         if stray:
             errors.append(f"{loc}: fields {stray} are only valid for convolutional layers")
-            ok = False
-        extra = set(raw) - {"kind", "width"}
-        extra -= set(conv_fields) | {"ndim"}
-        if extra:
-            errors.append(f"{loc}: unknown fields {sorted(extra)}")
-            ok = False
-        return LayerSpec(kind=kind, width=width) if ok else None
-
-    vals: dict[str, int] = {}
-    for f in conv_fields:
-        v = raw.get(f)
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-            errors.append(f"{loc}.{f}: expected a positive integer, got {v!r}")
-            ok = False
-        else:
-            vals[f] = v
-    ndim = raw.get("ndim", 2)
-    if ndim not in (1, 2):
+    elif ndim not in (1, 2):
         errors.append(f"{loc}.ndim: expected 1 or 2, got {ndim!r}")
-        ok = False
-    extra = set(raw) - {"kind", "width"} - set(conv_fields) - {"ndim"}
+    extra = raw.keys() - _LAYER_FIELDS
     if extra:
         errors.append(f"{loc}: unknown fields {sorted(extra)}")
-        ok = False
-    if not ok:
+    if len(errors) > before:
         return None
-    if vals["stride"] > vals["filter"]:
-        errors.append(
-            f"{loc}.stride: stride ({vals['stride']}) must not exceed "
-            f"filter size ({vals['filter']})"
-        )
-        ok = False
-    if vals["filter"] > vals["spatial"]:
-        errors.append(
-            f"{loc}.filter: filter size ({vals['filter']}) must not exceed "
-            f"spatial size ({vals['spatial']})"
-        )
-        ok = False
-    if not ok:
-        return None
-    return LayerSpec(
-        kind=kind,
-        width=width,
-        channels=vals["channels"],
-        spatial=vals["spatial"],
-        filter_size=vals["filter"],
-        stride=vals["stride"],
-        ndim=ndim,
-    )
+    if not conv:
+        return LayerSpec(kind, raw["width"])
+    ly = LayerSpec(kind, raw["width"], ndim=ndim,
+                   **{attr: raw[f] for f, attr in _CONV_FIELDS.items()})
+    if ly.stride > ly.filter_size:
+        errors.append(f"{loc}.stride: stride ({ly.stride}) must not exceed "
+                      f"filter size ({ly.filter_size})")
+    if ly.filter_size > ly.spatial:
+        errors.append(f"{loc}.filter: filter size ({ly.filter_size}) must not exceed "
+                      f"spatial size ({ly.spatial})")
+    return ly if len(errors) == before else None
 
 
 def _validate_connectivity(raw: Any, depth: int, errors: list[str]) -> ConnectivitySpec | None:
@@ -298,14 +274,12 @@ def _validate_connectivity(raw: Any, depth: int, errors: list[str]) -> Connectiv
         if not isinstance(pairs_raw, list):
             errors.append(f"{loc}.custom: expected a list of [j, k] pairs")
             return None
-        pairs: list[tuple[int, int]] = []
-        ok = True
+        before, pairs = len(errors), []
         for n, item in enumerate(pairs_raw):
             ploc = f"{loc}.custom[{n}]"
             if (not isinstance(item, (list, tuple)) or len(item) != 2
                     or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
                 errors.append(f"{ploc}: expected a pair of integers, got {item!r}")
-                ok = False
                 continue
             j, k = item
             if not (0 <= k < j < depth):
@@ -313,14 +287,11 @@ def _validate_connectivity(raw: Any, depth: int, errors: list[str]) -> Connectiv
                     f"{ploc}: block ({j}, {k}) must satisfy 0 <= k < j < {depth} "
                     f"(strictly lower triangular)"
                 )
-                ok = False
-                continue
-            if (j, k) in pairs:
+            elif (j, k) in pairs:
                 errors.append(f"{ploc}: duplicate block ({j}, {k})")
-                ok = False
-                continue
-            pairs.append((j, k))
-        if not ok:
+            else:
+                pairs.append((j, k))
+        if len(errors) > before:
             return None
         return ConnectivitySpec(kind="custom", pairs=tuple(sorted(pairs)))
     errors.append(f"{loc}: expected a pattern name or a custom mask object, got {type(raw).__name__}")
@@ -353,28 +324,24 @@ def _validate_structure(spec: ArchitectureSpec, errors: list[str]) -> None:
     # channel chaining: layer 0 must reconstruct the input, later conv layers
     # consume the preceding layer's maps
     for i in conv_layers:
-        ly = layers[i]
+        ly, prev = layers[i], layers[i - 1]  # prev is read only for i > 0
         if i == 0:
-            expect = ly.channels * ly.spatial ** ly.ndim
-            if expect != spec.input_dim:
+            if ly.input_dim != spec.input_dim:
                 errors.append(
-                    f"layers[0]: channels * spatial^ndim = {expect} must equal "
+                    f"layers[0]: channels * spatial^ndim = {ly.input_dim} must equal "
                     f"input_dim = {spec.input_dim}"
                 )
-        else:
-            prev = layers[i - 1]
-            if prev.is_conv:
-                if ly.channels != prev.width:
-                    errors.append(
-                        f"layers[{i}].channels: expected the preceding layer's width "
-                        f"({prev.width}), got {ly.channels}"
-                    )
-            else:
-                if ly.channels * ly.spatial ** ly.ndim != prev.width:
-                    errors.append(
-                        f"layers[{i}]: channels * spatial^ndim must equal the preceding "
-                        f"fully connected width ({prev.width})"
-                    )
+        elif prev.is_conv:
+            if ly.channels != prev.width:
+                errors.append(
+                    f"layers[{i}].channels: expected the preceding layer's width "
+                    f"({prev.width}), got {ly.channels}"
+                )
+        elif ly.input_dim != prev.width:
+            errors.append(
+                f"layers[{i}]: channels * spatial^ndim must equal the preceding "
+                f"fully connected width ({prev.width})"
+            )
 
     kind = spec.connectivity.kind
     if kind == "residual":
@@ -414,7 +381,7 @@ def parse_spec(doc: Mapping[str, Any] | str, name: str | None = None) -> Archite
         errors.append(f"document: unknown fields {sorted(extra)}")
 
     input_dim = doc.get("input_dim")
-    if not isinstance(input_dim, int) or isinstance(input_dim, bool) or input_dim <= 0:
+    if not _positive_int(input_dim):
         errors.append(f"input_dim: expected a positive integer, got {input_dim!r}")
         input_dim = 1
 
@@ -456,18 +423,10 @@ def serialize_spec(spec: ArchitectureSpec) -> dict[str, Any]:
     """Inverse of :func:`parse_spec`: a JSON-ready document."""
     layers = []
     for ly in spec.layers:
+        layers.append({"kind": ly.kind, "width": ly.width})
         if ly.is_conv:
-            layers.append({
-                "kind": ly.kind,
-                "width": ly.width,
-                "channels": ly.channels,
-                "spatial": ly.spatial,
-                "filter": ly.filter_size,
-                "stride": ly.stride,
-                "ndim": ly.ndim,
-            })
-        else:
-            layers.append({"kind": ly.kind, "width": ly.width})
+            layers[-1].update({f: getattr(ly, attr) for f, attr in _CONV_FIELDS.items()},
+                              ndim=ly.ndim)
     conn: Any
     if spec.connectivity.is_custom:
         conn = {"custom": [list(p) for p in spec.connectivity.pairs]}

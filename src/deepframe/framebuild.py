@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -441,18 +441,13 @@ class GlobalFrame:
     :class:`Diagonal` for an identity coupling, none of them stacked or
     densified. ``normalized``
     marks frames produced by :func:`normalize`, whose placed columns have
-    unit norm and whose ``params`` are empty. ``step_sizes`` is a
-    cache, not a constructor argument: :mod:`deepframe.inference` fills
-    it with the safe per-layer step sizes of the placed values, so placed
-    values must not change once steps have been taken from it.
+    unit norm and whose ``params`` are empty.
     """
 
     structure: FrameStructure
     params: dict[tuple[int, int], np.ndarray]
     placed: dict[tuple[int, int], Block]
     normalized: bool = False
-    step_sizes: dict[str, tuple[float, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def spec(self) -> ArchitectureSpec:

@@ -314,7 +314,7 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
     Layer j's codes solve the shallow problem min 1/2||B_jj w - t||^2 +
     lam_j sum(w), w >= 0, with the previous layer's codes as the target t
     (the input for layer 0): ``budget`` own-row block steps from zero at
-    a step just under 1/L of B_jj (computed once per frame), which is
+    a step just under 1/L of B_jj (computed once per call), which is
     nonnegative ISTA. On a depth-1 chain this is single-layer ISTA. The
     coupling row below absorbs layer j's final codes once, so layer j+1's
     target is exactly w_j. Only defined for chain connectivity. ``x`` is
@@ -330,7 +330,7 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
     lams = _per_layer(lam, frame.depth, "penalty weights")
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")
-    steps = _cached_steps(frame, "diagonal", lambda j: [frame.placed[(j, j)]])
+    steps = [safe_step(frame.placed[(j, j)]) for j in range(frame.depth)]
     codes, res = _zero_start(frame, signals)
     for j, rows in enumerate(frame.structure.rows_of):
         for _ in range(budget):
@@ -341,24 +341,14 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
                     "layered_bp")
 
 
-def _cached_steps(frame: GlobalFrame, kind: str, blocks) -> tuple[float, ...]:
-    """Per-layer :func:`safe_step` of the blocks ``blocks(j)``, computed once per frame."""
-    steps = frame.step_sizes.get(kind)
-    if steps is None:
-        steps = tuple(safe_step(*blocks(j)) for j in range(frame.depth))
-        frame.step_sizes[kind] = steps
-    return steps
-
-
 def block_step_sizes(frame: GlobalFrame) -> tuple[float, ...]:
     """Automatic per-layer steps, just under 1/L_j of each column block.
 
     Column block j is the stack of the placed blocks of column group j;
-    the power iteration runs on the blocks as placed. Computed once per
-    frame and reused by later calls.
+    the power iteration runs on the blocks as placed.
     """
-    return _cached_steps(frame, "column", lambda j: [
-        frame.placed[(i, j)] for i in frame.structure.rows_of[j]])
+    return tuple(safe_step(*[frame.placed[(i, j)] for i in rows])
+                 for j, rows in enumerate(frame.structure.rows_of))
 
 
 def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .archspec import ArchitectureSpec
 from .framebuild import (MATERIALIZE_COL_LIMIT, FrameBuildError, FrameStructure,
-                         GlobalFrame, NormalizationError, refuse_dead_columns)
+                         GlobalFrame, refuse_dead_columns)
 
 
 class MinimizeError(RuntimeError):
@@ -97,14 +97,14 @@ class MinimizeResult:
 class _FlatMap:
     """The scatter map from theta to the placed entries of the operator.
 
-    theta holds the learnable blocks in block-table order, each row-major:
-    a conv filter bank, or a dense block's placed matrix (an off-diagonal
-    one is held transposed, so per-block sums run in the memory order of
-    its parameter array). The map is read off ``build``: theta's entries,
-    numbered 2, 3, ..., are placed once, so each lands where the structure
-    places it, with the sign it gives it. Entry e, ``sign[e] *
-    theta[source[e]]``, goes to global flat ``index[e]``, in row-major
-    order; the placed +-1 entries are the identity couplings' constants.
+    theta holds the learnable blocks in block-table order, each row-major
+    in its stored shape: a conv filter bank, a diagonal block as placed, an
+    off-diagonal dense block transposed. The map is read off ``build``:
+    theta's entries, numbered 2, 3, ..., are placed once, so each lands
+    where the structure places it, with the sign it gives it, whatever
+    the layout. Entry e, ``sign[e] * theta[source[e]]``, goes to global
+    flat ``index[e]``, in row-major order; the placed +-1 entries are the
+    identity couplings' constants.
     """
 
     def __init__(self, spec: ArchitectureSpec):
@@ -145,13 +145,7 @@ class _FlatMap:
 
     def unflatten(self, theta: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         """Per-block views of theta in stored orientation."""
-        return {(b.row, b.col): theta[lo:hi].reshape(b.placed_shape).T
-                if b.form == "dense" and not b.is_diagonal else theta[lo:hi].reshape(b.shape)
-                for b, lo, hi in self.segments}
-
-    def sq_norm(self, g: np.ndarray) -> float:
-        """||g||^2 summed block by block, in the order of the parameter arrays."""
-        return sum(float(np.sum(g[lo:hi] * g[lo:hi])) for _, lo, hi in self.segments)
+        return {(b.row, b.col): theta[lo:hi].reshape(b.shape) for b, lo, hi in self.segments}
 
     def matrix(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The dense operator at theta and its global column norms.
@@ -176,9 +170,9 @@ class _FlatMap:
 
 def _evaluate(fm: _FlatMap, theta: np.ndarray):
     """Objective, coherence and the descent state (Bn, norms, E) at theta."""
+    # no norm is zero: matrix() refuses a dead column of a learnable diagonal
+    # block, and every other column group's diagonal block is an identity
     B, norms = fm.matrix(theta)
-    if np.any(norms == 0.0):
-        raise NormalizationError("zero global column during optimization")
     B /= norms
     E = B.T @ B
     np.fill_diagonal(E, 0.0)
@@ -214,7 +208,7 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
     step, evaluations, stop = opts.step, 1, "max_iters"
     for it in range(1, opts.max_iters + 1):
         grad = _gradient(fm, *state)
-        gnorm_sq = fm.sq_norm(grad)
+        gnorm_sq = float(grad @ grad)
         if gnorm_sq == 0.0:
             stop = "zero_gradient"
             break
@@ -223,7 +217,7 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
             evaluations += 1
             try:
                 t_obj, t_mu, t_state = _evaluate(fm, trial)
-            except (FrameBuildError, NormalizationError):
+            except FrameBuildError:
                 pass
             else:
                 if not math.isfinite(t_obj):
@@ -262,7 +256,7 @@ def minimize_deep_frame_potential(spec: ArchitectureSpec,
     for seed in range(opts.seed, opts.seed + opts.restarts):
         try:
             outcomes.append(_descend(fm, seed, opts))
-        except (FloatingPointError, FrameBuildError, NormalizationError) as exc:
+        except (FloatingPointError, FrameBuildError) as exc:
             failures.append((seed, str(exc)))
     if not outcomes:
         raise MinimizeError(f"all {opts.restarts} restarts failed: {failures}")

@@ -57,9 +57,11 @@ MIXED = [
     mixed_spec("dense", 32, [(3, 2), (2, 3), 5]),
     mixed_spec("residual", 6, [32, (2, 2), (2, 2)]),
     mixed_spec({"custom": [[2, 0]]}, 32, [(3, 2), 48, (3, 3)]),
+    # a conv coupling (2, 0) beside the dense block (2, 1) on one row group
+    mixed_spec("dense", 32, [(3, 2), 48, (3, 3)]),
 ]
 MIXED_IDS = ["fc-conv-chain", "conv-fc-chain", "conv-fc-dense", "conv-conv-fc-dense",
-             "fc-conv-conv-residual", "conv-fc-conv-custom"]
+             "fc-conv-conv-residual", "conv-fc-conv-custom", "conv-fc-conv-dense"]
 
 
 def random_specs(count, rng=None, max_depth=4, max_width=16):

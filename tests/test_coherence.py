@@ -1,5 +1,6 @@
 """Frame potential, coherence, and the analytic lower bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -253,3 +254,14 @@ def test_analyze_matches_direct_computation():
                                                        rel=1e-10)
         assert report.mutual_coherence == pytest.approx(mutual_coherence(unit),
                                                         abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [fc_spec("chain", 4, [8, 6], name="probe"),
+                                  conv_spec("chain", 2, 5, [3, 3], name="conv")])
+def test_analyze_of_normalized_frame_is_raw_report_without_chain_bound(spec):
+    # a normalized frame has lost its raw column magnitudes, so only the
+    # chain bound, which reads them, goes
+    frame = build_global_frame(spec, seed=3)
+    raw = analyze(frame)
+    assert raw.chain_lower_bound is not None
+    assert analyze(normalize(frame)[0]) == dataclasses.replace(raw, chain_lower_bound=None)

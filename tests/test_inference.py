@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from deepframe.framebuild import Diagonal, GlobalFrame, build_global_frame, normalize
+from deepframe.framebuild import Diagonal, build_global_frame, normalize
 from deepframe.inference import (
     DivergenceError,
     UnsupportedMethodError,
@@ -311,14 +311,6 @@ def test_block_step_sizes_cover_column_blocks():
         blk = column_block(frame, j)
         lip = float(np.linalg.svd(blk, compute_uv=False)[0] ** 2)
         assert step < 1.0 / lip
-
-
-def test_step_cache_is_not_a_constructor_argument():
-    frame = build_global_frame(fc_spec("chain", 4, [6, 5]), seed=1)
-    with pytest.raises(TypeError):
-        GlobalFrame(frame.structure, frame.params, frame.placed,
-                    step_sizes={"column": (1e3, 1e3)})
-    assert block_step_sizes(frame) is block_step_sizes(frame)
 
 
 # --- layered pursuit ----------------------------------------------------------

@@ -1,12 +1,13 @@
 """Frame potential descent and its gradient."""
 
+import json
+
 import numpy as np
 import pytest
 
 from deepframe import archspec, framebuild, minimize
 from deepframe.coherence import frame_potential, mutual_coherence
-from deepframe.framebuild import (FrameBuildError, NormalizationError, build_global_frame,
-                                  gram, normalize)
+from deepframe.framebuild import FrameBuildError, build_global_frame, gram, normalize
 from deepframe.minimize import (
     MinimizeError,
     MinimizeOptions,
@@ -176,13 +177,14 @@ def test_flat_map_adjoint_equals_block_scatter(spec):
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
 def test_flat_map_sq_norm_sums_per_parameter_array(spec):
-    # the Armijo test sums ||g||^2 array by array, each in its memory order
+    # theta is the parameter arrays laid end to end, each in its own memory
+    # order, so the Armijo test's ||g||^2 = g @ g sums each entry once
     fm = _FlatMap(spec)
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        gb = rng.standard_normal(fm.st.shape)
-        want = sum(float(np.sum(g * g)) for g in block_scatter(fm.st, gb).values())
-        assert fm.sq_norm(fm.adjoint(gb)) == want
+    g = fm.adjoint(np.random.default_rng(9).standard_normal(fm.st.shape))
+    arrays = list(fm.unflatten(g).values())
+    assert all(np.shares_memory(a, g) for a in arrays)
+    assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), g)
+    assert float(g @ g) == pytest.approx(sum(float(np.sum(a * a)) for a in arrays), rel=1e-13)
 
 
 def block_descent(spec, seed, opts):
@@ -394,7 +396,7 @@ def test_restart_records_zero_gradient_and_underflow(monkeypatch):
         # the first call is the initial draw; every trial after it is refused
         calls.append(1)
         if len(calls) > 1:
-            raise NormalizationError("refused")
+            raise FrameBuildError("refused")
         return real(fm, theta)
 
     monkeypatch.setattr(minimize, "_evaluate", refuse_trials)
@@ -405,3 +407,46 @@ def test_restart_records_zero_gradient_and_underflow(monkeypatch):
     # a step of 1e-2 falls to 1e-18 or below after 54 halvings, one per refused trial
     assert record.evaluations == len(calls) == 1 + 54
     assert record.backtracks == 54
+
+
+def poison_gradient(monkeypatch, seeds):
+    """Make the gradient NaN in the restarts of ``seeds``, so their first
+    trial's objective goes non-finite."""
+    real_descend, real_gradient = minimize._descend, minimize._gradient
+    current = []
+
+    def descend(fm, seed, opts):
+        current[:] = [seed]
+        return real_descend(fm, seed, opts)
+
+    def gradient(fm, *state):
+        grad = real_gradient(fm, *state)
+        return grad * np.nan if current[0] in seeds else grad
+
+    monkeypatch.setattr(minimize, "_descend", descend)
+    monkeypatch.setattr(minimize, "_gradient", gradient)
+
+
+def test_non_finite_restart_is_recorded_as_failed(monkeypatch):
+    spec = fc_spec("dense", 3, [5, 4])
+    opts = MinimizeOptions(seed=0, restarts=3, max_iters=20)
+    want = minimize_deep_frame_potential(spec, opts)
+    poison_gradient(monkeypatch, {1})
+    res = minimize_deep_frame_potential(spec, opts)
+    assert res.failed_restarts == [(1, "objective went non-finite at iteration 1")]
+    assert [r.seed for r in res.restarts] == [0, 2]
+    assert res.restarts == [want.restarts[0], want.restarts[2]]
+    assert res.trajectories == [want.trajectories[0], want.trajectories[2]]
+
+
+def test_every_restart_failing_raises_and_exits_two(monkeypatch, tmp_path, capsys):
+    from deepframe.cli import main
+
+    spec = fc_spec("dense", 3, [5, 4])
+    poison_gradient(monkeypatch, {0, 1})
+    with pytest.raises(MinimizeError, match="all 2 restarts failed"):
+        minimize_deep_frame_potential(spec, MinimizeOptions(seed=0, restarts=2, max_iters=20))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(archspec.serialize_spec(spec)))
+    assert main(["minimize", str(path), "--restarts", "2", "--iters", "20"]) == 2
+    assert "numerical failure: all 2 restarts failed" in capsys.readouterr().err
