@@ -239,7 +239,7 @@ def _validate_layer(i: int, raw: Mapping[str, Any], errors: list[str]) -> LayerS
         stray = [f for f in _LAYER_FIELDS[2:] if f in raw]
         if stray:
             errors.append(f"{loc}: fields {stray} are only valid for convolutional layers")
-    elif ndim not in (1, 2):
+    elif not _positive_int(ndim) or ndim > 2:
         errors.append(f"{loc}.ndim: expected 1 or 2, got {ndim!r}")
     extra = raw.keys() - _LAYER_FIELDS
     if extra:

@@ -62,50 +62,77 @@ def prox_nonneg_soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64) - lam, 0.0)
 
 
+# Lanczos steps between two convergence checks; a check is one eigvalsh of
+# the tridiagonal, about the cost of a few block products
+RITZ_CHECK_EVERY = 4
+
+
 def largest_sq_singular_value(*blocks, tol: float = 1e-13,
                               max_iters: int = 300) -> float:
-    """Power-iteration estimate of the largest eigenvalue of sum_i P_i^T P_i.
+    """Lanczos estimate of the largest eigenvalue of sum_i P_i^T P_i.
 
-    ``blocks`` share one column count and stand for their column stack
-    [P_0; P_1; ...], which is never formed: a round applies
+    ``blocks`` share one column count n and stand for their column stack
+    [P_0; P_1; ...], which is never formed: a step applies
     v -> sum_i P_i^T (P_i v), so a :class:`Diagonal` block costs d*(d*v)
     and a :class:`Convolution` block two gathers and two products with its
     filter bank; any other block is taken as an array.
-    The start is deterministic (the ones vector, then a fixed perturbation
-    if that lands in a null space). Each estimate is a Rayleigh quotient,
-    hence a lower bound on the eigenvalue up to rounding. The loop stops
-    when two successive estimates agree to ``tol``, or after ``max_iters``
-    rounds; when the top of the spectrum is nearly degenerate it stops
-    there, and the estimate can sit far more than ``tol`` below.
+
+    The Lanczos process (Lanczos 1950), with full reorthogonalization,
+    builds an orthonormal basis of a Krylov space one product at a time,
+    at most min(``max_iters``, n) vectors. The estimate is the top Ritz
+    value, the largest eigenvalue of the operator projected on that basis,
+    hence a lower bound on the eigenvalue up to rounding. Every
+    ``RITZ_CHECK_EVERY`` steps it is compared with the previous check's,
+    and the process stops when the two agree to ``tol`` (relative) or when
+    the basis is full; at n vectors the estimate is exact up to rounding.
+    The start is a draw of a fixed-seed generator, so the estimate is
+    deterministic: a structured start such as the ones vector can be
+    orthogonal to the top eigenvector (a symmetric filter's odd modes) and
+    converge below it. When the Krylov space turns invariant before n
+    steps, the process continues from the generator's next draw,
+    orthogonalized against the basis.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     blocks = [b if isinstance(b, (Diagonal, Convolution)) else np.asarray(b, dtype=np.float64)
               for b in blocks]
     n = blocks[0].shape[1]
     if n == 0:
         return 0.0
+    size = min(max_iters, n)
 
-    def gram_times(v):
-        return sum(b.T @ (b @ v) for b in blocks)
+    def orthogonalize(v, known):  # twice is enough to keep the basis orthonormal
+        for _ in range(2):
+            v -= known.T @ (known @ v)
+        return v
 
-    v = np.ones(n) / math.sqrt(n)
-    w = gram_times(v)
-    prev = 0.0
-    for it in range(max_iters):
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            if it == 0:
-                v = np.arange(1.0, n + 1.0)
-                v /= np.linalg.norm(v)
-                w = gram_times(v)
-                continue
-            return 0.0
-        v = w / norm
-        w = gram_times(v)
-        est = float(v @ w)
-        if abs(est - prev) <= tol * max(est, 1.0):
-            return est
-        prev = est
-    return prev
+    draws = np.random.default_rng(0)
+    basis = np.empty((min(2 * RITZ_CHECK_EVERY, size), n))  # grown by doubling
+    alphas, betas, prev = [], [], None
+    q = draws.standard_normal(n)
+    q /= np.linalg.norm(q)
+    for k in range(size):
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k, size - k), n))))
+        basis[k] = q
+        known = basis[:k + 1]
+        w = sum(b.T @ (b @ q) for b in blocks)
+        scale = np.linalg.norm(w)
+        alphas.append(q @ w)
+        beta = np.linalg.norm(orthogonalize(w, known))
+        if (k + 1) % RITZ_CHECK_EVERY == 0 or k + 1 == size:
+            # eigvalsh reads the lower triangle: the diagonal and the betas below it
+            top = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1]
+            if k + 1 == size or prev is not None and abs(top - prev) <= tol * top:
+                break
+            prev = top
+        if beta <= np.finfo(np.float64).eps * scale:  # rounding noise: an invariant space
+            beta, w = 0.0, orthogonalize(draws.standard_normal(n), known)
+            q = w / np.linalg.norm(w)
+        else:
+            q = w / beta
+        betas.append(beta)
+    return max(float(top), 0.0)
 
 
 STEP_MARGIN = 1.0 + 1e-6
@@ -114,13 +141,15 @@ STEP_MARGIN = 1.0 + 1e-6
 def safe_step(*blocks) -> float:
     """Step 1/(L' * STEP_MARGIN) for gradients of 1/2||P w - y||^2.
 
-    P is the column stack of ``blocks`` (see
-    :func:`largest_sq_singular_value`) and L' the power-iteration lower
-    bound on its Lipschitz constant L = ||P||^2. The margin covers a
-    converged estimate, but an estimate stopped at ``max_iters`` can sit
-    further below L than the margin, and the step then exceeds 1/L by
-    that gap. Any step below 2/L still makes each prox-linear step
-    decrease the objective, which is what block descent relies on.
+    P is the column stack of ``blocks`` and L' the Lanczos estimate of
+    its Lipschitz constant L = ||P||^2 (see
+    :func:`largest_sq_singular_value`): a top Ritz value, a lower bound on
+    L up to rounding. The margin covers a converged estimate, which sits
+    within rounding of L; an estimate cut off at ``max_iters`` before its
+    Ritz values agree can sit further below L than the margin, and the
+    step then exceeds 1/L by that gap. Any step below 2/L still makes each
+    prox-linear step decrease the objective, which is what block descent
+    relies on.
     """
     lip = largest_sq_singular_value(*blocks)
     if lip == 0.0:
@@ -345,7 +374,7 @@ def block_step_sizes(frame: GlobalFrame) -> tuple[float, ...]:
     """Automatic per-layer steps, just under 1/L_j of each column block.
 
     Column block j is the stack of the placed blocks of column group j;
-    the power iteration runs on the blocks as placed.
+    the Lanczos process runs on the blocks as placed.
     """
     return tuple(safe_step(*[frame.placed[(i, j)] for i in rows])
                  for j, rows in enumerate(frame.structure.rows_of))

@@ -316,6 +316,10 @@ REFUSALS = [
      ["layers[0].ndim: expected 1 or 2, got 0"]),
     ("conv-ndim-string", doc([conv(ndim="2")]),
      ["layers[0].ndim: expected 1 or 2, got '2'"]),
+    ("conv-ndim-true", doc([conv(ndim=True)]),
+     ["layers[0].ndim: expected 1 or 2, got True"]),
+    ("conv-ndim-float", doc([conv(ndim=2.0)]),
+     ["layers[0].ndim: expected 1 or 2, got 2.0"]),
     ("conv-stride-over-filter", doc([conv(filt=2, stride=3)]),
      ["layers[0].stride: stride (3) must not exceed filter size (2)"]),
     ("conv-filter-over-spatial", doc([conv(spatial=4, filt=5)]),

@@ -104,6 +104,20 @@ def test_analyze_params_rejected_for_multiblock(tmp_path):
     assert main(["analyze", str(spec), "--params", str(tmp_path / "m.csv")]) == 1
 
 
+@pytest.mark.parametrize("ndim", [True, 2.0])
+def test_analyze_refuses_non_integer_ndim(tmp_path, capsys, ndim):
+    spec = tmp_path / "conv.json"
+    spec.write_text(json.dumps({
+        "input_dim": 32,
+        "layers": [{"kind": "convolutional", "width": 3, "channels": 2, "spatial": 4,
+                    "filter": 3, "stride": 1, "ndim": ndim}],
+        "connectivity": "chain"}))
+    assert main(["analyze", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"layers[0].ndim: expected 1 or 2, got {ndim!r}" in captured.err
+
+
 @pytest.mark.parametrize("suffix", [".json", ".csv"])
 def test_analyze_refuses_non_finite_params(specdir, tmp_path, capsys, suffix):
     params = tmp_path / f"p{suffix}"

@@ -88,7 +88,7 @@ def test_prox_elementwise():
                        [0.0, 0.0, 1.2])
 
 
-# --- power iteration ----------------------------------------------------------
+# --- step sizes -------------------------------------------------------------
 
 
 def test_largest_sq_singular_value_matches_svd(rng):
@@ -99,26 +99,58 @@ def test_largest_sq_singular_value_matches_svd(rng):
 
 
 @pytest.mark.parametrize("mat,want", [
-    ([[1.0, -1.0]], 2.0),          # ones vector in the null space
+    ([[1.0, -1.0]], 2.0),          # a null space beside the top eigenvector
     ([[0.0, 0.0], [0.0, 0.0]], 0.0),
 ])
 def test_largest_sq_singular_value_null_start(mat, want):
     assert largest_sq_singular_value(np.array(mat)) == pytest.approx(want, rel=1e-12)
 
 
-def test_largest_sq_singular_value_stays_below_eigvalsh_at_max_iters(rng):
-    # a nearly degenerate top of the spectrum: the iteration runs out of
-    # rounds before two estimates agree, and stops below the eigenvalue
+def test_largest_sq_singular_value_needs_an_iteration():
+    with pytest.raises(ValueError, match="max_iters"):
+        largest_sq_singular_value(np.eye(2), max_iters=0)
+
+
+def test_ones_eigenvector_does_not_trap_the_estimate():
+    # P^T P = [[2, -1], [-1, 2]] has the ones vector as its eigenvector of
+    # eigenvalue 1; L = 3 lies on (1, -1)
+    mat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+    assert largest_sq_singular_value(mat) == pytest.approx(3.0, rel=1e-12)
+    assert safe_step(mat) < 1.0 / 3.0
+
+
+@pytest.mark.parametrize("size", [6, 200])
+def test_top_eigenvector_orthogonal_to_ones_is_found(size):
+    # the second difference of an even-length grid: its top eigenvector is
+    # odd about the centre, so every even vector, ones included, misses it
+    mat = 2 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
+    top = np.linalg.eigvalsh(mat.T @ mat)[-1]
+    assert largest_sq_singular_value(mat) == pytest.approx(top, rel=1e-12)
+    assert safe_step(mat) < 1.0 / top
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1.0, 1.0, 2.0, 2.0, 2.0], [1.0] * 12,
+                                  [0.0, 0.0, 0.0, 0.0, 3.0]])
+def test_invariant_krylov_space_continues_to_the_top(diag):
+    # repeated eigenvalues make every Krylov space invariant after as many
+    # steps as there are distinct ones
+    mat = np.diag(diag)
+    assert largest_sq_singular_value(mat) == pytest.approx(max(diag) ** 2, rel=1e-12)
+    assert largest_sq_singular_value(Diagonal(np.array(diag))) == pytest.approx(
+        max(diag) ** 2, rel=1e-12)
+
+
+def test_largest_sq_singular_value_converges_on_near_degenerate_tops(rng):
+    # a nearly degenerate top of the spectrum, which a power iteration
+    # leaves short of the eigenvalue by more than the step margin
     for gap in (1e-3, 3e-4, 1e-4):
         u, _ = np.linalg.qr(rng.normal(size=(12, 12)))
         v, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         sing = np.sqrt(np.array([1.0, 1.0 - gap, 1.0 - 2 * gap, 0.5, 0.4, 0.3, 0.2, 0.1]))
         mat = u[:, :8] * sing @ v.T
         top = np.linalg.eigvalsh(mat.T @ mat)[-1]
-        est = largest_sq_singular_value(mat)
-        assert est <= top
-        assert est < largest_sq_singular_value(mat, max_iters=300_000)
-        assert est == largest_sq_singular_value(mat, max_iters=300, tol=0.0)
+        assert largest_sq_singular_value(mat) == pytest.approx(top, rel=1e-12)
+        assert safe_step(mat) < 1.0 / top
 
 
 def test_largest_sq_singular_value_of_blocks_is_that_of_their_stack(rng):
