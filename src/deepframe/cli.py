@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -85,8 +86,40 @@ def _envelope(seed: int | None, specs) -> dict:
     }
 
 
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``, byte
+    for byte, at the given indentation of ``value``'s own line.
+
+    Dicts (keys sorted) and lists (tuples too) are written here, a list of
+    finite Python floats in one join of their ``repr``, which is how
+    ``json`` writes a float; every other scalar, and every key, goes
+    through a ``json.JSONEncoder``, which refuses NaN and infinities with
+    a ValueError.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (_encode_scalar(key if isinstance(key, str) else _encode_scalar(key))
+                 + ": " + _json_text(value[key], inner) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if all(type(v) is float for v in value) and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+    else:
+        return _encode_scalar(value)
+    if not value:
+        return brackets
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
+
+
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text(payload)
     if out:
         Path(out).write_text(text + "\n")
     else:

@@ -196,10 +196,13 @@ class Convolution:
     ``bank`` is the signed filter bank as a (filters x channels*taps)
     matrix. A product with codes or residuals is one ``take`` over a gather
     map of the geometry plus one matrix product with the bank, on a vector
-    or on the columns of a matrix; ``C @ x`` and ``x @ C`` work from
-    either side, ``.T`` is the transposed block, ``C / norms`` divides its
-    columns, ``shape`` is the placed block's and ``np.asarray(C)`` is the
-    dense block.
+    or on the columns of a matrix. The gather reads taps off the grid from
+    a zero row appended to the operand: ``C.matmul_padded(xp)`` is
+    ``C @ x`` for x held with that row already in place (``xp``), and
+    ``C @ x`` appends it and takes the same path. ``C @ x`` and ``x @ C``
+    work from either side, ``.T`` is the transposed block, ``C / norms``
+    divides its columns, ``shape`` is the placed block's and
+    ``np.asarray(C)`` is the dense block.
     """
 
     __array_ufunc__ = None  # so ndarray @ Convolution defers to __rmatmul__
@@ -234,29 +237,42 @@ class Convolution:
         shape = self.geometry.shape
         return shape[::-1] if self.coupling != self.transposed else shape
 
-    def _apply(self, x: np.ndarray, synthesize: bool) -> np.ndarray:
-        """S @ x (``synthesize``) or S^T @ x, with the bank's sign."""
+    def _apply(self, padded: np.ndarray, synthesize: bool) -> np.ndarray:
+        """S @ x (``synthesize``) or S^T @ x, with the bank's sign, for x given
+        as ``padded``: its rows followed by one zero row, which the gather
+        maps' trash index reads."""
         if synthesize:
             gather, bank = self.geometry.synth_map, self.synth_bank
         else:
             gather, bank = self.geometry.corr_map, self.bank
-        padded = np.concatenate((x, np.zeros((1,) + x.shape[1:])))
         cols = padded.take(gather, axis=0).reshape(bank.shape[1], -1)
-        return (bank @ cols).reshape((-1,) + x.shape[1:])
+        return (bank @ cols).reshape((-1,) + padded.shape[1:])
 
-    def _divisor(self, x: np.ndarray) -> np.ndarray:
-        return self.norms if x.ndim == 1 else self.norms[:, None]
+    @functools.cached_property
+    def _padded_norms(self) -> np.ndarray:
+        return np.append(self.norms, 1.0)
 
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"operand has {x.shape[0]} rows, block {self.shape} "
+    @staticmethod
+    def _divisor(x: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        return norms if x.ndim == 1 else norms[:, None]
+
+    def matmul_padded(self, padded: np.ndarray) -> np.ndarray:
+        """``self @ x`` for a vector or matrix x given as ``padded``: its rows
+        followed by one zero row, as a caller that keeps its operands padded
+        holds them, so the product copies nothing before its gather. The
+        result has no extra row."""
+        if padded.shape[0] - 1 != self.shape[1]:
+            raise ValueError(f"operand has {padded.shape[0] - 1} rows, block {self.shape} "
                              f"expects {self.shape[1]}")
         if self.transposed:
-            out = self._apply(x, synthesize=self.coupling)
-            return out if self.norms is None else out / self._divisor(out)
+            out = self._apply(padded, synthesize=self.coupling)
+            return out if self.norms is None else out / self._divisor(out, self.norms)
         if self.norms is not None:
-            x = x / self._divisor(x)
-        return self._apply(x, synthesize=not self.coupling)
+            padded = padded / self._divisor(padded, self._padded_norms)
+        return self._apply(padded, synthesize=not self.coupling)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.matmul_padded(np.concatenate((x, np.zeros((1,) + x.shape[1:]))))
 
     def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
         return (self.T @ x.T).T

@@ -22,7 +22,10 @@ are a (d_j x m) matrix and residuals of row group i an (r_i x m) one, so
 every signal of a batch shares each product with the operator. Signals
 never mix; objectives are per-signal column sums. A vector runs as a
 one-column batch and gets one result back, a matrix gets one result per
-column.
+column. All codes of a batch live in one flat buffer and all residuals in
+another, each group followed by one zero row: a conv block gathers from
+that padded view directly, and an objective is two reductions over the
+buffers.
 
 The first sweep from zero codes reads only each block's own row: the rows
 below it are zero at the sweep's starting state. With unit steps that
@@ -37,6 +40,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -220,92 +224,134 @@ def _check_input(frame: GlobalFrame, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _residual(frame: GlobalFrame, codes: list[np.ndarray],
-              x: np.ndarray) -> list[np.ndarray]:
-    """Per row group i, sum_k placed[(i, k)] @ W_k, minus X on row 0."""
-    res = []
-    for i in range(frame.depth):
-        r = -x if i == 0 else np.zeros((frame.row_dims[i], x.shape[1]))
-        for k in frame.structure.cols_of[i]:
-            r += frame.placed[(i, k)] @ codes[k]
-        res.append(r)
-    return res
+def _flat(dims: Sequence[int], m: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One zero (sum(d + 1) x m) buffer and a view per group of its d rows
+    followed by one zero row, in order."""
+    buf = np.zeros((sum(dims) + len(dims), m))
+    offsets = accumulate((d + 1 for d in dims), initial=0)
+    return buf, [buf[a:a + d + 1] for a, d in zip(offsets, dims)]
 
 
-def _zero_start(frame: GlobalFrame, x: np.ndarray):
-    """All-zero codes and their residual [-X, 0, ..., 0]."""
-    m = x.shape[1]
-    codes = [np.zeros((d, m)) for d in frame.col_dims]
-    res = [-x] + [np.zeros((d, m)) for d in frame.row_dims[1:]]
-    return codes, res
+def _padded_product(block):
+    """x_padded -> block @ x, for x held with one trailing zero row: a
+    :class:`Convolution` gathers from it as it is, any other block reads
+    the rows above it."""
+    if isinstance(block, Convolution):
+        return block.matmul_padded
+    return lambda padded: block @ padded[:-1]
 
 
-def _objective(res: list[np.ndarray], codes: list[np.ndarray],
-               lams: list[float]) -> np.ndarray:
-    """Per signal, the penalty plus 1/2 ||R||^2 for codes known to be nonnegative."""
-    total = np.zeros(codes[0].shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lam, w in zip(lams, codes):
-            total += lam * w.sum(axis=0)
-        for r in res:
-            total += 0.5 * np.einsum("ij,ij->j", r, r)
-    return total
+class _Batch:
+    """The codes and residuals of m signals on one frame, kept in place.
+
+    All codes share one flat buffer ``w`` and all residuals another, ``r``;
+    each group holds its rows followed by one zero row there. ``codes[j]``
+    and ``res[i]`` are the groups' views without that row, ``codes_pad[j]``
+    and ``res_pad[i]`` with it: the operand a :class:`Convolution` gathers
+    from without a copy. ``times[(i, j)]`` and ``adjoint[(i, j)]`` take a
+    padded operand to placed[(i, j)] @ x and placed[(i, j)]^T @ x. ``lams``
+    are the per-layer penalty weights. A fresh batch has zero codes and
+    residuals.
+    """
+
+    def __init__(self, frame: GlobalFrame, m: int, lams: list[float]):
+        self.frame, self.lams = frame, lams
+        # lam_j on the rows of group j of w, 0 on its zero rows
+        self._weights = np.concatenate([[lam] * d + [0.0]
+                                        for lam, d in zip(lams, frame.col_dims)])
+        self.w, self.codes_pad = _flat(frame.col_dims, m)
+        self.r, self.res_pad = _flat(frame.row_dims, m)
+        self.codes = [v[:-1] for v in self.codes_pad]
+        self.res = [v[:-1] for v in self.res_pad]
+        self._delta_pad = [np.zeros_like(v) for v in self.codes_pad]
+        self.times = {key: _padded_product(b) for key, b in frame.placed.items()}
+        self.adjoint = {key: _padded_product(b.T) for key, b in frame.placed.items()}
+
+    @classmethod
+    def zero_start(cls, frame: GlobalFrame, x: np.ndarray, lams: list[float]) -> _Batch:
+        """All-zero codes and their residual [-X, 0, ..., 0]."""
+        batch = cls(frame, x.shape[1], lams)
+        np.negative(x, out=batch.res[0])
+        return batch
+
+    def refresh_residual(self, x: np.ndarray) -> None:
+        """Per row group i, R_i = sum_k placed[(i, k)] @ W_k, minus X on row 0."""
+        for i, cols in enumerate(self.frame.structure.cols_of):
+            r = self.res[i]
+            if i == 0:
+                np.negative(x, out=r)
+            else:
+                r[...] = 0.0
+            for k in cols:
+                r += self.times[(i, k)](self.codes_pad[k])
+
+    def objective(self) -> np.ndarray:
+        """Per signal, the penalty plus 1/2 ||R||^2 for codes known to be
+        nonnegative: one product of the per-row weights with ``w`` and one
+        column-wise reduction of ``r``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._weights @ self.w + 0.5 * np.einsum("ij,ij->j", self.r, self.r)
+
+    def block_step(self, j: int, grad_rows, update_rows, step: float) -> None:
+        """One prox-linear step on block j, updating codes[j] and res in place.
+
+        The gradient is sum_i placed[(i, j)]^T R_i over ``grad_rows``; after
+        the step each row in ``update_rows`` absorbs placed[(i, j)] @ (change
+        in W_j). Rows of block j left out of ``update_rows`` go stale, and the
+        caller owes them that change.
+        """
+        w = self.codes[j]
+        grad = sum(self.adjoint[(i, j)](self.res_pad[i]) for i in grad_rows)
+        new = prox_nonneg_soft_threshold(w - step * grad, step * self.lams[j])
+        delta = self._delta_pad[j]
+        np.subtract(new, w, out=delta[:-1])
+        w[...] = new
+        for i in update_rows:
+            self.res[i] += self.times[(i, j)](delta)
+
+    def sweep(self, steps: Sequence[float], own_row_only: bool) -> None:
+        """One block step per block, ascending; every row the block touches absorbs it.
+
+        Block j's gradient reads its own row alone (``own_row_only``) or every
+        row group it touches.
+        """
+        for j, rows in enumerate(self.frame.structure.rows_of):
+            self.block_step(j, (j,) if own_row_only else rows, rows, steps[j])
 
 
 def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
                     x: np.ndarray, lam) -> float:
-    """The global objective at the given codes; inf if any entry is negative."""
+    """The global objective at the given codes; inf if any entry is negative.
+
+    Codes with a NaN or infinite entry are refused with a ValueError that
+    names their layer.
+    """
     x = _check_input(frame, np.asarray(x, dtype=np.float64).reshape(-1))
     lams = _per_layer(lam, frame.depth, "penalty weights")
     if len(codes) != frame.depth:
         raise ValueError(f"expected {frame.depth} code vectors, got {len(codes)}")
-    codes = [np.asarray(w, dtype=np.float64) for w in codes]
+    batch = _Batch(frame, 1, lams)
     for j, w in enumerate(codes):
+        w = np.asarray(w, dtype=np.float64)
         if w.shape != (frame.col_dims[j],):
             raise ValueError(
                 f"layer {j}: code has shape {w.shape}, expected ({frame.col_dims[j]},)"
             )
-        if np.any(w < 0):
-            return math.inf
-    codes = [w[:, None] for w in codes]
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"layer {j}: code has non-finite entries")
+        batch.codes[j][:, 0] = w
+    if np.any(batch.w < 0):
+        return math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _residual(frame, codes, x)
-    return float(_objective(res, codes, lams)[0])
+        batch.refresh_residual(x)
+    return float(batch.objective()[0])
 
 
-def _block_step(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
-                j: int, grad_rows, update_rows, step: float, lam: float) -> None:
-    """One prox-linear step on block j, updating codes[j] and res in place.
-
-    The gradient is sum_i placed[(i, j)]^T R_i over ``grad_rows``; after
-    the step each row in ``update_rows`` absorbs placed[(i, j)] @ (change
-    in W_j). Rows of block j left out of ``update_rows`` go stale, and the
-    caller owes them that change.
-    """
-    grad = sum(frame.placed[(i, j)].T @ res[i] for i in grad_rows)
-    new = prox_nonneg_soft_threshold(codes[j] - step * grad, step * lam)
-    delta = new - codes[j]
-    codes[j] = new
-    for i in update_rows:
-        res[i] += frame.placed[(i, j)] @ delta
-
-
-def _sweep(frame: GlobalFrame, codes: list[np.ndarray], res: list[np.ndarray],
-           steps: list[float], lams: list[float], own_row_only: bool) -> None:
-    """One block step per block, ascending; every row the block touches absorbs it.
-
-    Block j's gradient reads its own row alone (``own_row_only``) or every
-    row group it touches.
-    """
-    for j, rows in enumerate(frame.structure.rows_of):
-        _block_step(frame, codes, res, j, (j,) if own_row_only else rows, rows,
-                    steps[j], lams[j])
-
-
-def _results(x, codes: list[np.ndarray], objectives: list[np.ndarray],
+def _results(x, batch: _Batch, objectives: list[np.ndarray],
              steps, start: float, method: str) -> Results:
     """One result per signal; a single one when the signals came as a vector."""
-    m = codes[0].shape[1]
+    codes = batch.codes
+    m = batch.w.shape[1]
     wall = (time.perf_counter() - start) / m
     out = [InferenceResult(codes=[w[:, s].copy() for w in codes],
                            objectives=[float(obj[s]) for obj in objectives],
@@ -330,9 +376,9 @@ def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> Results:
     signals = _check_input(frame, x)
     lams = _per_layer(lam, frame.depth, "penalty weights")
     steps = [1.0] * frame.depth
-    codes, res = _zero_start(frame, signals)
-    _sweep(frame, codes, res, steps, lams, own_row_only=True)
-    return _results(x, codes, [_objective(res, codes, lams)], steps, start,
+    batch = _Batch.zero_start(frame, signals, lams)
+    batch.sweep(steps, own_row_only=True)
+    return _results(x, batch, [batch.objective()], steps, start,
                     "feed_forward")
 
 
@@ -360,13 +406,13 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
     if budget < 1:
         raise ValueError("iteration budget must be at least 1")
     steps = [safe_step(frame.placed[(j, j)]) for j in range(frame.depth)]
-    codes, res = _zero_start(frame, signals)
+    batch = _Batch.zero_start(frame, signals, lams)
     for j, rows in enumerate(frame.structure.rows_of):
         for _ in range(budget):
-            _block_step(frame, codes, res, j, (j,), (j,), steps[j], lams[j])
+            batch.block_step(j, (j,), (j,), steps[j])
         for i in rows[1:]:
-            res[i] += frame.placed[(i, j)] @ codes[j]
-    return _results(x, codes, [_objective(res, codes, lams)], steps, start,
+            batch.res[i] += batch.times[(i, j)](batch.codes_pad[j])
+    return _results(x, batch, [batch.objective()], steps, start,
                     "layered_bp")
 
 
@@ -410,12 +456,12 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
         steps = _per_layer(gamma, depth, "step sizes")
 
     if init is None:
-        codes, res = _zero_start(frame, signals)
+        batch = _Batch.zero_start(frame, signals, lams)
     else:
         if len(init) != depth:
             raise ValueError(f"expected {depth} initial code blocks, got {len(init)}")
         single = np.ndim(x) == 1
-        codes = []
+        batch = _Batch(frame, signals.shape[1], lams)
         for j, block in enumerate(init):
             d = frame.col_dims[j]
             arr = np.asarray(block, dtype=float)
@@ -427,22 +473,21 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
                                  f"expected {shape} (length {d} per signal)")
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"initial codes for layer {j} must be finite and nonnegative")
-            codes.append(arr.reshape(d, -1).copy())
-        res = _residual(frame, codes, signals)
+            batch.codes[j][...] = arr.reshape(d, -1)
+        batch.refresh_residual(signals)
     objectives: list[np.ndarray] = []
 
     for cycle in range(cycles):
-        _sweep(frame, codes, res, steps, lams,
-               own_row_only=cycle == 0 and init is None)
+        batch.sweep(steps, own_row_only=cycle == 0 and init is None)
         # a non-finite code makes the penalty, hence the objective, non-finite
-        obj = _objective(res, codes, lams)
+        obj = batch.objective()
         bad = np.flatnonzero(~np.isfinite(obj))
         if bad.size:
             raise DivergenceError(
                 f"iterates of signal {bad[0]} went non-finite at cycle {cycle + 1}")
         objectives.append(obj)
 
-    return _results(x, codes, objectives, steps, start, "bcd")
+    return _results(x, batch, objectives, steps, start, "bcd")
 
 
 __all__ = [

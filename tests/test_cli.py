@@ -1,13 +1,21 @@
 """End-to-end command-line behavior: exit codes, envelopes, reproducibility."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepframe import __version__
+from deepframe import __version__, cli
 from deepframe.cli import main
 from deepframe.matio import write_csv, write_matrix
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = ROOT / "docs" / "examples"
 
 
 @pytest.fixture
@@ -365,3 +373,89 @@ def test_bad_flag_exits_one(specdir, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(specdir / "tri.json"), "--format", "yaml"])
     assert exc.value.code == 1
+
+
+# --- the JSON writer ---------------------------------------------------------
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.fixture
+def conv_signals(tmp_path):
+    """A CSV of three signals for docs/examples/conv_chain.json."""
+    dim = json.loads((EXAMPLES / "conv_chain.json").read_text())["input_dim"]
+    path = tmp_path / "x.csv"
+    write_csv(path, np.random.default_rng(2).normal(size=(3, dim)))
+    return path
+
+
+def test_json_writer_matches_json_dumps_on_every_command(tmp_path, monkeypatch, conv_signals):
+    payloads, real = [], cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json",
+                        lambda payload, out: (payloads.append(payload), real(payload, out)))
+    out = tmp_path / "out.json"
+    conv = str(EXAMPLES / "conv_chain.json")
+    commands = [["analyze", conv], ["analyze", str(EXAMPLES / "residual.json")],
+                ["minimize", str(EXAMPLES / "chain.json"), "--iters", "60", "--restarts", "2"],
+                ["rank", str(EXAMPLES), "--iters", "40", "--restarts", "1"]]
+    commands += [["infer", conv, str(conv_signals), "--method", method, "--iters", "30"]
+                 for method in ("feed_forward", "layered_bp", "bcd")]
+    for argv in commands:
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert out.read_text() == dumps(payloads[-1]) + "\n", argv
+    assert len(payloads) == len(commands)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"a": [], "b": {}}, [[]], [{}], [[1, 2], [3, [4, 5]], []], None, True, False, 7,
+    "caf\u00e9 \u2603 \"q\"\n", -0.0, 1e16, 5e-324, [1e16, -0.0, 5e-324, 0.1],
+    {"z": [None, True, False, 1, 1.5, "s"], "a": {"n": [2.0, 3], "m": (1.0, 2.0)}},
+    {1: "int key", 2.5: "float key"}, {True: "bool key"}, {None: "null key"},
+    [np.float64(0.1), 2.0], {"k": np.float64(1e-300)},
+], ids=repr)
+def test_json_writer_matches_json_dumps_on_edge_cases(value):
+    assert cli._json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("where", [
+    lambda v: v, lambda v: [1.0, v], lambda v: [1, v], lambda v: {"a": {"b": v}},
+    lambda v: {"a": [[0.5], [2.0, v]]}, lambda v: [None, "s", v],
+], ids=["scalar", "float-list", "mixed-list", "dict", "nested-list", "other-list"])
+def test_json_writer_refuses_non_finite(bad, where):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._json_text(where(bad))
+
+
+def test_non_finite_output_exits_one_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                         conv_signals):
+    real = cli.feed_forward
+
+    def poisoned(*args, **kwargs):
+        results = real(*args, **kwargs)
+        results[1].objectives[-1] = math.inf
+        return results
+
+    monkeypatch.setattr(cli, "feed_forward", poisoned)
+    out = tmp_path / "out.json"
+    assert main(["infer", str(EXAMPLES / "conv_chain.json"), str(conv_signals),
+                 "--method", "feed_forward", "--out", str(out)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# --- python -m deepframe -------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,code", [("chain", 0), ("bad", 1)])
+def test_module_entry_point_exit_codes(bad_spec, spec, code):
+    path = EXAMPLES / "chain.json" if spec == "chain" else bad_spec
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "deepframe", "validate", str(path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith("OK" if code == 0 else "FAIL")

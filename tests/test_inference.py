@@ -170,6 +170,21 @@ def test_safe_step_is_below_lipschitz(rng):
 # --- global objective and forward pass ---------------------------------------
 
 
+# conv blocks take their operands padded in place, so the objective and the
+# descent invariants run on conv frames too, with and without unit columns
+CONV_FRAMES = [
+    pytest.param(spec, normalized, id=f"{name}-{'normalized' if normalized else 'raw'}")
+    for name, spec in [("conv2d-chain", conv_spec("chain", 2, 5, [3, 2])),
+                       ("conv1d-residual", conv_spec("residual", 2, 8, [3, 2, 3], ndim=1))]
+    for normalized in (False, True)
+]
+
+
+def inference_frame(spec, seed, normalized):
+    frame = build_global_frame(spec, seed=seed)
+    return normalize(frame)[0] if normalized else frame
+
+
 def test_objective_value_by_hand():
     spec = fc_spec("chain", 2, [2])
     frame = build_global_frame(spec, params={(0, 0): np.eye(2)})
@@ -185,6 +200,36 @@ def test_objective_value_infinite_on_negative():
     frame = build_global_frame(spec, params={(0, 0): np.eye(2)})
     assert math.isinf(objective_value([np.array([-0.1, 0.0])], frame,
                                       np.zeros(2), 0.1))
+
+
+def dense_objective(frame, codes, x, lams):
+    """The global objective off the materialized operator, summed layer by layer."""
+    target = np.zeros(frame.shape[0])
+    target[:frame.row_dims[0]] = x
+    r = frame.materialize() @ np.concatenate(codes) - target
+    return 0.5 * float(r @ r) + sum(lam * float(np.sum(w)) for lam, w in zip(lams, codes))
+
+
+@pytest.mark.parametrize("spec,normalized", [
+    pytest.param(fc_spec("dense", 4, [6, 5, 4]), False, id="fc-dense-raw"),
+    pytest.param(fc_spec("residual", 4, [6, 5, 6]), True, id="fc-residual-normalized"),
+] + CONV_FRAMES)
+def test_objective_value_matches_dense_oracle(spec, normalized, rng):
+    frame = inference_frame(spec, 9, normalized)
+    lams = [0.1 * (j + 1) for j in range(frame.depth)]
+    for _ in range(3):
+        codes = [np.maximum(rng.normal(size=d), 0.0) for d in frame.col_dims]
+        x = rng.normal(size=frame.row_dims[0])
+        assert objective_value(codes, frame, x, lams) == pytest.approx(
+            dense_objective(frame, codes, x, lams), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_objective_value_refuses_non_finite_codes(bad):
+    frame = build_global_frame(fc_spec("chain", 2, [2, 3]), seed=0)
+    codes = [np.array([-0.5, 0.0]), np.array([0.5, bad, 0.0])]
+    with pytest.raises(ValueError, match="^layer 1: code has non-finite entries$"):
+        objective_value(codes, frame, np.zeros(2), 0.1)
 
 
 def test_feed_forward_single_layer_is_thresholding(rng):
@@ -230,19 +275,40 @@ def test_methods_refuse_non_finite_signal(method, bad):
 # --- block coordinate descent -------------------------------------------------
 
 
+def check_one_sweep_matches_feed_forward(frame, x, lam):
+    ff = feed_forward(x, frame, lam)
+    one = bcd_inference(x, frame, lam, cycles=1, gamma=1.0)
+    assert any(np.any(w > 0) for w in ff.codes)
+    for a, b in zip(ff.codes, one.codes):
+        assert np.array_equal(a, b)
+
+
+def check_bcd_monotone(frame, x, lam, cycles):
+    res = bcd_inference(x, frame, lam, cycles=cycles)
+    assert np.all(np.diff(res.objectives) <= 1e-12)
+
+
+def check_maintained_objective_matches_fresh(frame, x, lam, warm, rng):
+    init = [rng.uniform(0, 1, size=d) for d in frame.col_dims] if warm else None
+    res = bcd_inference(x, frame, lam, cycles=500, init=init)
+    fresh = objective_value(res.codes, frame, x, lam)
+    assert res.final_objective == pytest.approx(fresh, rel=1e-12)
+
+
 @pytest.mark.parametrize("pattern,widths", [
     ("chain", [6, 5, 4]),
     ("dense", [6, 5, 4]),
     ("residual", [6, 5, 6]),
 ])
 def test_one_sweep_matches_feed_forward(pattern, widths, rng):
-    spec = fc_spec(pattern, 4, widths)
-    frame = build_global_frame(spec, seed=6)
-    x = rng.normal(size=4)
-    ff = feed_forward(x, frame, 0.15)
-    one = bcd_inference(x, frame, 0.15, cycles=1, gamma=1.0)
-    for a, b in zip(ff.codes, one.codes):
-        assert np.array_equal(a, b)
+    frame = build_global_frame(fc_spec(pattern, 4, widths), seed=6)
+    check_one_sweep_matches_feed_forward(frame, rng.normal(size=4), 0.15)
+
+
+@pytest.mark.parametrize("spec,normalized", CONV_FRAMES)
+def test_one_sweep_matches_feed_forward_conv(spec, normalized, rng):
+    frame = inference_frame(spec, 6, normalized)
+    check_one_sweep_matches_feed_forward(frame, rng.normal(size=frame.row_dims[0]), 0.05)
 
 
 @pytest.mark.parametrize("pattern,widths", [
@@ -259,23 +325,29 @@ def test_bcd_matches_stacked_oracle(pattern, widths, rng):
 
 
 def test_bcd_monotone(rng):
-    spec = fc_spec("dense", 5, [8, 6, 5])
-    frame = build_global_frame(spec, seed=4)
-    res = bcd_inference(rng.normal(size=5), frame, 0.05, cycles=120)
-    diffs = np.diff(res.objectives)
-    assert np.all(diffs <= 1e-12)
+    frame = build_global_frame(fc_spec("dense", 5, [8, 6, 5]), seed=4)
+    check_bcd_monotone(frame, rng.normal(size=5), 0.05, cycles=120)
+
+
+@pytest.mark.parametrize("spec,normalized", CONV_FRAMES)
+def test_bcd_monotone_conv(spec, normalized, rng):
+    frame = inference_frame(spec, 4, normalized)
+    check_bcd_monotone(frame, rng.normal(size=frame.row_dims[0]), 0.05, cycles=120)
 
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_bcd_maintained_objective_matches_fresh(warm, rng):
     # each cycle's objective comes from the updated residual, not a recomputation
-    spec = fc_spec("residual", 5, [8, 6, 8])
-    frame = build_global_frame(spec, seed=12)
-    x = rng.normal(size=5)
-    init = [rng.uniform(0, 1, size=d) for d in frame.col_dims] if warm else None
-    res = bcd_inference(x, frame, 0.05, cycles=500, init=init)
-    fresh = objective_value(res.codes, frame, x, 0.05)
-    assert res.final_objective == pytest.approx(fresh, rel=1e-12)
+    frame = build_global_frame(fc_spec("residual", 5, [8, 6, 8]), seed=12)
+    check_maintained_objective_matches_fresh(frame, rng.normal(size=5), 0.05, warm, rng)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("spec,normalized", CONV_FRAMES)
+def test_bcd_maintained_objective_matches_fresh_conv(spec, normalized, warm, rng):
+    frame = inference_frame(spec, 12, normalized)
+    check_maintained_objective_matches_fresh(frame, rng.normal(size=frame.row_dims[0]),
+                                             0.05, warm, rng)
 
 
 def test_bcd_two_inits_agree(rng):
