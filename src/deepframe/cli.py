@@ -25,36 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .archspec import (
-    ArchitectureSpec,
-    SpecError,
-    block_table,
-    load_spec,
-    param_count,
-)
+from .archspec import ArchitectureSpec, block_table, load_spec, param_count
 from .coherence import CSV_FIELDS, analyze
-from .framebuild import FrameBuildError, NormalizationError, build_global_frame
-from .inference import (
-    DivergenceError,
-    UnsupportedMethodError,
-    bcd_inference,
-    feed_forward,
-    layered_basis_pursuit,
-)
-from .matio import MatrixIOError, load_array, load_signals
+from .framebuild import build_global_frame
+from .inference import DivergenceError, bcd_inference, feed_forward, layered_basis_pursuit
+from .matio import load_array, load_signals
 from .minimize import MinimizeError, MinimizeOptions, minimize_deep_frame_potential
-from .selection import SelectionError, evaluate_candidate, rank
+from .selection import evaluate_candidate, rank
 
-_USER_ERRORS = (
-    SpecError,
-    FrameBuildError,
-    NormalizationError,
-    MatrixIOError,
-    UnsupportedMethodError,
-    SelectionError,
-    OSError,
-    ValueError,
-)
+# every bad-input error the package raises (SpecError, FrameBuildError and
+# the rest) is a ValueError
+_USER_ERRORS = (OSError, ValueError)
 _NUMERICAL_ERRORS = (MinimizeError, DivergenceError, FloatingPointError)
 
 
@@ -142,8 +123,9 @@ def _spec_paths(root) -> list[Path]:
 
 
 def _params_from_json(doc, where: str) -> dict[tuple[int, int], np.ndarray]:
-    if isinstance(doc, dict) and "result" in doc and "params" in doc["result"]:
-        doc = doc["result"]["params"]
+    result = doc.get("result") if isinstance(doc, dict) else None
+    if isinstance(result, dict) and "params" in result:
+        doc = result["params"]
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected an object mapping 'row,col' to arrays")
     out: dict[tuple[int, int], np.ndarray] = {}
@@ -154,7 +136,12 @@ def _params_from_json(doc, where: str) -> dict[tuple[int, int], np.ndarray]:
             raise ValueError(
                 f"{where}: bad block key {key!r}, expected 'row,col'"
             ) from None
-        out[(j, k)] = np.asarray(value, dtype=float)
+        try:
+            out[(j, k)] = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{where}: block {key!r}: expected a rectangular array of numbers"
+            ) from None
     return out
 
 
@@ -193,7 +180,7 @@ def cmd_validate(args) -> int:
     for path in [q for root in args.specs for q in _spec_paths(root)]:
         try:
             spec = load_spec(path)
-        except (SpecError, OSError, ValueError) as exc:
+        except _USER_ERRORS as exc:
             failures += 1
             print(f"FAIL {path}: {exc}")
             continue
@@ -258,6 +245,9 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.out and Path(args.out).suffix == ".csv":
+        raise ValueError(f"--out {args.out}: the CSV ranking is written beside the JSON "
+                         f"with a .csv suffix, so --out needs another suffix")
     paths = _spec_paths(args.specdir)
     opts = MinimizeOptions(seed=args.seed, max_iters=args.iters,
                            restarts=args.restarts)

@@ -27,10 +27,9 @@ def _as_gram(obj) -> GramStructure:
     mat = np.asarray(obj, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("expected a frame, a Gram structure, or a 2-D array")
-    g = mat.T @ mat
     pattern = (np.abs(mat).T @ np.abs(mat)) > 0
     offdiag = int(pattern.sum()) - int(np.diagonal(pattern).sum())
-    return GramStructure(blocks={(0, 0): g}, trace=float(np.trace(g)),
+    return GramStructure(blocks={(0, 0): ConvGram.one_site(mat.T @ mat, True)},
                          offdiag_count=offdiag)
 
 
@@ -64,17 +63,8 @@ def mutual_coherence(frame) -> float:
             raise ValueError(f"columns {dead.tolist()} have zero norm")
         g = _as_gram(mat / norms)
 
-    peaks = [0.0]
-    for (j, k), blk in g.blocks.items():
-        if isinstance(blk, ConvGram):
-            peaks.append(blk.max_offdiag())
-            continue
-        a = np.abs(blk)
-        if j == k:
-            np.fill_diagonal(a, 0.0)
-        if a.size:
-            peaks.append(a.max())
-    return float(np.minimum(np.max(peaks), 1.0))
+    peaks = [blk.max_offdiag() for blk in g.blocks.values()]
+    return float(np.minimum(np.max(peaks, initial=0.0), 1.0))
 
 
 def averaged_potential_bound(fp: float, trace: float, offdiag_count: int) -> float | None:
@@ -262,8 +252,9 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
     """Normalize a frame, compute its Gram, and summarize its quality.
 
     The Welch-type bound reported depends on structure: the convolutional
-    form for a single convolutional layer, the dense form otherwise (on
-    the global operator's dimensions). Chain specs also get the analytic
+    form for a single 2-D convolutional layer, the dense form otherwise (on
+    the global operator's dimensions), and none below two filters or two
+    columns, where neither form applies. Chain specs also get the analytic
     potential lower bound evaluated at the frame's column magnitudes.
     """
     spec = frame.spec
@@ -279,14 +270,13 @@ def analyze(frame: GlobalFrame) -> CoherenceReport:
     mu = mutual_coherence(g)
     rows, cols = normalized.shape
 
-    if spec.depth == 1 and spec.layers[0].is_conv and spec.layers[0].ndim == 2:
-        ly = spec.layers[0]
-        wb = conv_welch_bound(ly.spatial, ly.stride, ly.filter_size,
-                              ly.channels, ly.width)
+    ly, wb = spec.layers[0], None
+    if spec.depth == 1 and ly.is_conv and ly.ndim == 2:
+        if ly.width >= 2:
+            wb = conv_welch_bound(ly.spatial, ly.stride, ly.filter_size,
+                                  ly.channels, ly.width)
     elif cols >= 2:
         wb = welch_bound(rows, cols)
-    else:
-        wb = None
 
     clb = None
     if spec.is_chain and chain_mags is not None:

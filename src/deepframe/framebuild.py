@@ -11,10 +11,10 @@ only for small operators. What does not depend on parameter values
 (blocks, offsets, convolution geometries and their index maps, Gram block
 pairs with their filter offsets and masks, the structural off-diagonal
 count) is compiled once per spec into a :class:`FrameStructure`, which
-values fill in. The Gram matrix is held the same way: a dense array per
-block pair that touches a dense block, and a :class:`ConvGram` (entries
-per filter offset, computed from the filter banks) per pair of conv and
-identity column groups, so no conv block is ever densified.
+values fill in. The Gram matrix is held the same way, one :class:`ConvGram`
+per block pair: entries per filter offset, computed from the filter banks
+(no conv block is ever densified), and for a pair touching a dense block
+or of fully connected layers, the one-site case at the one offset zero.
 
 Convolution blocks are linear operators that place every filter at every
 output grid position (zero padding, "same"-style). Column order is
@@ -685,8 +685,7 @@ class _OffsetTerm:
 
 
 class ConvGram:
-    """A Gram block between two column groups of conv and identity blocks,
-    held by filter offsets.
+    """A Gram block between two column groups, held by filter offsets.
 
     ``values[d, a, b, t]`` is the entry of left column (a, t) and right
     column (b, ``dest[d, t]``), the right site t + ``offsets[d]`` (sites
@@ -694,12 +693,19 @@ class ConvGram:
     that site is off the grid, and the value there is zero. Every other
     entry is structurally zero. ``diagonal`` marks a block on the Gram
     diagonal, whose diagonal entries are those at offset zero with a == b.
+    A fully connected pair is the one-site case (see :meth:`one_site`).
     ``np.asarray`` gives the dense block.
     """
 
     def __init__(self, values: np.ndarray, offsets: np.ndarray, dest: np.ndarray,
                  diagonal: bool):
         self.values, self.offsets, self.dest, self.diagonal = values, offsets, dest, diagonal
+
+    @classmethod
+    def one_site(cls, block: np.ndarray, diagonal: bool) -> ConvGram:
+        """A dense Gram block as one site at the one offset zero, a view of it."""
+        zero = np.zeros((1, 1), dtype=np.intp)
+        return cls(block[None, :, :, None], zero, zero, diagonal)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -725,7 +731,7 @@ class ConvGram:
             off = ~np.eye(self.values.shape[1], dtype=bool)
             parts = [self.values[:z], self.values[z + 1:], self.values[z][off]]
         peaks = [m for p in parts for m in (p.max(initial=0.0), -p.min(initial=0.0))]
-        return float(np.max(peaks))
+        return float(np.max(peaks)) + 0.0  # np.max may pick -0.0 over 0.0
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         _, f_l, f_r, sites = self.values.shape
@@ -746,12 +752,13 @@ class _PairPlan:
     A pair with a dense learnable block on a shared row group, or with no
     conv layer among its column groups, is dense: its terms are block
     products, but a term with a conv block and no dense one is an
-    :class:`_OffsetTerm` added in dense form. Any other pair is a
-    :class:`ConvGram` over the union of its terms' offsets. ``count`` is the
-    pair's share of :attr:`FrameStructure.offdiag_count`: everything for a
-    pair touching a dense block (every column of a placed block touches
-    its row group), otherwise the union of the terms' masks, over every
-    feature pair except for two identities, which meet feature to feature.
+    :class:`_OffsetTerm` added in dense form; their sum is a one-site
+    :class:`ConvGram`. Any other pair is a :class:`ConvGram` over the union
+    of its terms' offsets. ``count`` is the pair's share of
+    :attr:`FrameStructure.offdiag_count`: everything for a pair touching a
+    dense block (every column of a placed block touches its row group),
+    otherwise the union of the terms' masks, over every feature pair
+    except for two identities, which meet feature to feature.
     """
 
     def __init__(self, st: FrameStructure, blocks: dict[tuple[int, int], BlockDef],
@@ -805,7 +812,7 @@ class _PairPlan:
                 out += 8 * (g.corr_map if key[0] == key[1] else g.synth_map).size * other
         return out
 
-    def evaluate(self, placed: dict[tuple[int, int], Block]) -> np.ndarray | ConvGram:
+    def evaluate(self, placed: dict[tuple[int, int], Block]) -> ConvGram:
         if self.dense:
             acc = np.zeros(self.shape)
             for term in self.terms:
@@ -813,7 +820,7 @@ class _PairPlan:
                     acc += np.asarray(ConvGram(term.values(placed), term.offsets, term.dest, False))
                 else:
                     acc += placed[term[0]].T @ placed[term[1]]
-            return acc
+            return ConvGram.one_site(acc, self.diagonal)
         values = None
         for term, slot in zip(self.terms, self.slots):
             part = term.values(placed)
@@ -830,23 +837,24 @@ class _PairPlan:
 class GramStructure:
     """Block representation of G = B^T B.
 
-    ``blocks`` holds the upper block triangle (j <= j'), each a dense array
-    or a :class:`ConvGram`; pairs of column groups sharing no row group are
-    structural zero blocks and are simply absent. ``offdiag_count`` is the
-    number of structurally nonzero off-diagonal entries of G (support
-    overlap, independent of parameter values); ``trace`` is Tr(G).
+    ``blocks`` holds the upper block triangle (j <= j'), each a
+    :class:`ConvGram` (one site for a pair of fully connected column
+    groups); pairs of column groups sharing no row group are structural
+    zero blocks and are simply absent. ``offdiag_count`` is the number of
+    structurally nonzero off-diagonal entries of G (support overlap,
+    independent of parameter values); ``trace`` is Tr(G).
     """
 
-    blocks: dict[tuple[int, int], np.ndarray | ConvGram]
-    trace: float
+    blocks: dict[tuple[int, int], ConvGram]
     offdiag_count: int
 
+    @property
+    def trace(self) -> float:
+        return sum((blk.trace() for blk in self.blocks.values()), 0.0)
+
     def frobenius_sq(self) -> float:
-        total = 0.0
-        for (j, k), blk in self.blocks.items():
-            contrib = blk.frobenius_sq() if isinstance(blk, ConvGram) else float(np.sum(blk * blk))
-            total += contrib if j == k else 2.0 * contrib
-        return total
+        return sum((blk.frobenius_sq() * (1.0 if blk.diagonal else 2.0)
+                    for blk in self.blocks.values()), 0.0)
 
 
 GRAM_BYTE_LIMIT = 2 * 1024 ** 3
@@ -856,9 +864,9 @@ GRAM_BYTE_LIMIT = 2 * 1024 ** 3
 def gram_bytes(st: FrameStructure) -> int:
     """Estimated peak bytes of :func:`gram` on a frame of this structure.
 
-    Every Gram block as held (per offset for a :class:`ConvGram`, dense
-    otherwise), the largest term's own product before it is added (with
-    what it gathers), and the compiled masks of the offset terms.
+    Every Gram block as held (per offset, one site for a dense pair), the
+    largest term's own product before it is added (with what it gathers),
+    and the compiled masks of the offset terms.
     """
     plans = st.gram_plan.values()
     masks = sum({id(t.mask): t.mask.nbytes for p in plans for t in p.terms
@@ -870,13 +878,13 @@ def gram_bytes(st: FrameStructure) -> int:
 def gram(frame: GlobalFrame) -> GramStructure:
     """G = B^T B computed block-pair-wise, without materializing B.
 
-    Follows the structure's :attr:`~FrameStructure.gram_plan`: a pair of
-    column groups of conv and identity blocks comes out as a
-    :class:`ConvGram`, computed from the filter banks per offset; any other
-    pair (one touching a dense block, or of fully connected layers alone)
-    as a dense array of block products. No conv block is densified.
-    Refuses, before it allocates the blocks, a structure whose
-    :func:`gram_bytes` exceed :data:`GRAM_BYTE_LIMIT`.
+    Follows the structure's :attr:`~FrameStructure.gram_plan`: every pair
+    is a :class:`ConvGram`, per offset from the filter banks for column
+    groups of conv and identity blocks, one site of summed block products
+    for any other pair (one touching a dense block, or of fully connected
+    layers alone). No conv block is densified. Refuses, before it
+    allocates the blocks, a structure whose :func:`gram_bytes` exceed
+    :data:`GRAM_BYTE_LIMIT`.
     """
     st = frame.structure
     need = gram_bytes(st)
@@ -885,11 +893,7 @@ def gram(frame: GlobalFrame) -> GramStructure:
             f"refusing the Gram matrix of a {st.shape[0]}x{st.shape[1]} operator: "
             f"it needs about {need / 1e9:.1f} GB, over the {GRAM_BYTE_LIMIT / 1e9:.1f} GB limit")
     blocks = {key: plan.evaluate(frame.placed) for key, plan in st.gram_plan.items()}
-    trace = 0.0
-    for (j, k), blk in blocks.items():
-        if j == k:
-            trace += blk.trace() if isinstance(blk, ConvGram) else float(np.trace(blk))
-    return GramStructure(blocks=blocks, trace=trace, offdiag_count=st.offdiag_count)
+    return GramStructure(blocks=blocks, offdiag_count=st.offdiag_count)
 
 
 __all__ = [

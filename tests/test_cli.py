@@ -140,6 +140,43 @@ def test_analyze_refuses_non_finite_params(specdir, tmp_path, capsys, suffix):
     assert str(params) in captured.err and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("doc,key", [
+    ('{"result": 5}', "'result'"),
+    ('{"0,0": {"a": 1}}', "'0,0'"),
+    ('{"0,0": [[1, 2], [3]]}', "'0,0'"),
+    ('{"0,0": [[1, "a"]]}', "'0,0'"),
+], ids=["result-not-object", "block-object", "ragged", "not-numbers"])
+def test_analyze_refuses_malformed_params_json(tmp_path, capsys, doc, key):
+    params = tmp_path / "p.json"
+    params.write_text(doc)
+    assert main(["analyze", str(EXAMPLES / "chain.json"), "--params", str(params)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(params) in captured.err and key in captured.err
+
+
+@pytest.mark.parametrize("layer,mu", [
+    # a 16x4 frame of disjoint windows: orthogonal, with no overlap to bound
+    ({"channels": 1, "spatial": 4, "filter": 2, "stride": 2}, 0.0),
+    ({"channels": 1, "spatial": 3, "filter": 3, "stride": 1}, None),
+], ids=["stride2", "stride1"])
+def test_analyze_one_filter_conv_has_no_welch_bound(tmp_path, layer, mu):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps({
+        "input_dim": layer["channels"] * layer["spatial"] ** 2,
+        "layers": [{"kind": "convolutional", "width": 1, "ndim": 2, **layer}],
+        "connectivity": "chain"}))
+    out = tmp_path / "out.json"
+    assert main(["analyze", str(spec), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["welch_bound"] is None
+    if mu is not None:
+        assert report["mutual_coherence"] == mu
+        assert math.copysign(1.0, report["mutual_coherence"]) == 1.0
+        assert report["offdiag_count"] == 0
+        assert report["averaged_bound"] is None
+
+
 @pytest.mark.parametrize("method", ["feed_forward", "layered_bp", "bcd"])
 def test_infer_refuses_non_finite_signals(specdir, tmp_path, capsys, method):
     write_csv(tmp_path / "x.csv", np.array([[0.3, 0.9], [np.inf, 0.1]]))
@@ -195,6 +232,18 @@ def test_rank_respects_max_params(specdir, capsys):
                  "--max-params", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in doc["ranking"]["candidates"]] == ["tri"]
+
+
+def test_rank_refuses_csv_out_before_scoring(specdir, tmp_path, capsys, monkeypatch):
+    # the CSV lands at --out with a .csv suffix, which would overwrite the JSON
+    def never(*args, **kwargs):
+        raise AssertionError("a candidate was scored")
+    monkeypatch.setattr(cli, "evaluate_candidate", never)
+    out = tmp_path / "r.csv"
+    assert main(["rank", str(specdir), "--iters", "20", "--restarts", "1",
+                 "--out", str(out)]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rank_empty_directory_exits_one(tmp_path, capsys):

@@ -54,7 +54,10 @@ def test_mutual_coherence_normalizes_internally(rng):
 
 
 def test_mutual_coherence_orthonormal():
-    assert mutual_coherence(np.eye(4)) == 0.0
+    # +0.0: np.max may pick -0.0 over 0.0
+    for mat in (np.eye(4), np.ones((3, 1)), np.zeros((3, 0))):
+        mu = mutual_coherence(mat)
+        assert mu == 0.0 and math.copysign(1.0, mu) == 1.0
 
 
 def test_mutual_coherence_propagates_nan():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from deepframe.archspec import parse_spec
 from deepframe.framebuild import (
+    ConvGram,
     FrameBuildError,
     NormalizationError,
     build_global_frame,
@@ -309,6 +310,7 @@ def test_gram_blocks_equal_dense_slices(spec):
     dense = Bn.T @ Bn
     off = unit.structure.col_off
     blocks = gram(unit).blocks
+    assert all(isinstance(blk, ConvGram) for blk in blocks.values())
     for j in range(spec.depth):
         for k in range(j, spec.depth):
             want = dense[off[j]:off[j + 1], off[k]:off[k + 1]]
