@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .archspec import ArchitectureSpec, block_table, load_spec, param_count
 from .coherence import CSV_FIELDS, analyze
-from .framebuild import build_global_frame
+from .framebuild import FrameBuildError, build_global_frame
 from .inference import DivergenceError, bcd_inference, feed_forward, layered_basis_pursuit
 from .matio import load_array, load_signals
 from .minimize import MinimizeError, MinimizeOptions, minimize_deep_frame_potential
@@ -194,9 +194,13 @@ def _load_frame(args):
     """The frame of ``args.spec`` from its ``--params`` file, else from
     ``--seed``, and the seed the envelope records (None for a params file)."""
     spec = load_spec(args.spec)
-    if args.params:
-        return build_global_frame(spec, params=_load_params(args.params, spec)), None
-    return build_global_frame(spec, seed=args.seed), args.seed
+    if not args.params:
+        return build_global_frame(spec, seed=args.seed), args.seed
+    params = _load_params(args.params, spec)
+    try:
+        return build_global_frame(spec, params=params), None
+    except FrameBuildError as exc:  # a refusal of the file's values names the file
+        raise FrameBuildError(f"{args.params}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -110,17 +110,29 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
             v -= known.T @ (known @ v)
         return v
 
+    # q is held with a zero row below it, and a conv block writes P_i q into
+    # a padded buffer of its own, so both of its products run without a copy
+    padded = np.zeros(n + 1)
+    q = padded[:n]
+    mids = [np.zeros(b.shape[0] + 1) if isinstance(b, Convolution) else None for b in blocks]
+
+    def gram_product(b, mid):  # q -> P^T (P q)
+        if mid is None:
+            return b.T @ (b @ q)
+        mid[:-1] = b.matmul_padded(padded)
+        return b.T.matmul_padded(mid)
+
     draws = np.random.default_rng(0)
     basis = np.empty((min(2 * RITZ_CHECK_EVERY, size), n))  # grown by doubling
     alphas, betas, prev = [], [], None
-    q = draws.standard_normal(n)
+    q[...] = draws.standard_normal(n)
     q /= np.linalg.norm(q)
     for k in range(size):
         if k == len(basis):
             basis = np.concatenate((basis, np.empty((min(k, size - k), n))))
         basis[k] = q
         known = basis[:k + 1]
-        w = sum(b.T @ (b @ q) for b in blocks)
+        w = sum(map(gram_product, blocks, mids))
         scale = np.linalg.norm(w)
         alphas.append(q @ w)
         beta = np.linalg.norm(orthogonalize(w, known))
@@ -132,9 +144,9 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
             prev = top
         if beta <= np.finfo(np.float64).eps * scale:  # rounding noise: an invariant space
             beta, w = 0.0, orthogonalize(draws.standard_normal(n), known)
-            q = w / np.linalg.norm(w)
+            np.divide(w, np.linalg.norm(w), out=q)
         else:
-            q = w / beta
+            np.divide(w, beta, out=q)
         betas.append(beta)
     return max(float(top), 0.0)
 

@@ -15,6 +15,12 @@ E the off-diagonal part of the normalized Gram matrix, the derivative with
 respect to the normalized operator is 4*B_n*E / count; each column is then
 projected onto the tangent of its unit sphere and divided by its raw norm,
 and the map's adjoint (one ``np.bincount``) pulls that back to theta.
+
+Each call allocates one workspace, the dense operator, its squares, the
+Gram, one Gram-sized scratch and the gradient, and every evaluation
+overwrites it in place. The gradient and the coherence read the last
+evaluation's workspace, which the descent takes right after evaluating
+the start or an accepted trial, before the next trial overwrites it.
 """
 
 from __future__ import annotations
@@ -95,7 +101,8 @@ class MinimizeResult:
 
 
 class _FlatMap:
-    """The scatter map from theta to the placed entries of the operator.
+    """The scatter map from theta to the placed entries of the operator,
+    and the workspace every evaluation overwrites.
 
     theta holds the learnable blocks in block-table order, each row-major
     in its stored shape: a conv filter bank, a diagonal block as placed, an
@@ -105,6 +112,13 @@ class _FlatMap:
     the layout. Entry e, ``sign[e] * theta[source[e]]``, goes to global
     flat ``index[e]``, in row-major order; the placed +-1 entries are the
     identity couplings' constants.
+
+    The workspace is allocated once per map, so once per
+    :func:`minimize_deep_frame_potential` call, and every evaluation
+    overwrites it: the operator ``B`` (zeroed here; an evaluation writes
+    only the placed entries), its squares ``sq``, the column ``norms``, the
+    Gram ``E`` with one E-sized ``scratch``, and the R x C gradient ``G``.
+    :func:`_gradient` and :func:`_coherence` read the last evaluation's.
     """
 
     def __init__(self, spec: ArchitectureSpec):
@@ -136,6 +150,19 @@ class _FlatMap:
         self.index, self.source = index[learned], magnitude[learned].astype(np.intp) - 2
         self.sign = np.sign(value[learned])
         self.const_index, self.const_value = index[~learned], value[~learned]
+        # matrix()'s dead-column test reads the learnable diagonal blocks'
+        # placed entries, each with its column
+        rows, cols = np.divmod(self.index, width)
+        inside = np.zeros(self.index.size, dtype=bool)
+        for _, r, c in self.diagonal:
+            inside |= (r.start <= rows) & (rows < r.stop) & (c.start <= cols) & (cols < c.stop)
+        self.diag_at, self.diag_column = self.index[inside], cols[inside]
+        self.diag_columns = sum(c.stop - c.start for _, _, c in self.diagonal)
+        self.B, self.sq, self.G = (np.zeros(st.shape) for _ in range(3))
+        self.E, self.scratch = np.zeros((width, width)), np.zeros((width, width))
+        self.E_diag = self.E.reshape(-1)[::width + 1]
+        self.norms, self.radial = np.zeros(width), np.zeros(width)
+        self.values, self.diag_sq = np.zeros(self.index.size), np.zeros(self.diag_at.size)
 
     def flatten(self, params) -> np.ndarray:
         theta = np.empty(self.size)
@@ -148,44 +175,65 @@ class _FlatMap:
         return {(b.row, b.col): theta[lo:hi].reshape(b.shape) for b, lo, hi in self.segments}
 
     def matrix(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The dense operator at theta and its global column norms.
+        """The dense operator at theta and its global column norms, written
+        into the workspace's ``B`` and ``norms``.
 
         The operator is squared once: ``build``'s refusal of a zero column in
         a learnable diagonal block and the global norms both read the squares.
         """
-        B = np.zeros(self.st.shape)
-        flat = B.reshape(-1)
+        B, sq, flat = self.B, self.sq, self.B.reshape(-1)
         flat[self.const_index] = self.const_value
-        flat[self.index] = self.sign * theta[self.source]
-        sq = B * B
-        for key, rows, cols in self.diagonal:
-            refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
-        return B, np.sqrt(np.add.reduce(sq, axis=0))
+        # mode="clip" lets take write straight into out; every index is in range
+        np.take(theta, self.source, out=self.values, mode="clip")
+        self.values *= self.sign
+        flat[self.index] = self.values
+        np.multiply(B, B, out=sq)
+        # a sum of squares is zero exactly when each of them is, in any order
+        np.take(sq.reshape(-1), self.diag_at, out=self.diag_sq, mode="clip")
+        if np.count_nonzero(np.bincount(self.diag_column, self.diag_sq)) < self.diag_columns:
+            for key, rows, cols in self.diagonal:  # word the refusal as build does
+                refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
+        np.sqrt(np.add.reduce(sq, axis=0, out=self.norms), out=self.norms)
+        return B, self.norms
 
     def adjoint(self, G: np.ndarray) -> np.ndarray:
         """The map's adjoint: each placed entry of G, signed, summed into theta."""
-        return np.bincount(self.source, weights=self.sign * G.reshape(-1)[self.index],
-                           minlength=self.size)
+        np.take(G.reshape(-1), self.index, out=self.values, mode="clip")
+        self.values *= self.sign
+        return np.bincount(self.source, weights=self.values, minlength=self.size)
 
 
-def _evaluate(fm: _FlatMap, theta: np.ndarray):
-    """Objective, coherence and the descent state (Bn, norms, E) at theta."""
+def _evaluate(fm: _FlatMap, theta: np.ndarray) -> float:
+    """The objective at theta, which leaves the descent state (the normalized
+    operator, its norms and E) in fm's workspace."""
     # no norm is zero: matrix() refuses a dead column of a learnable diagonal
     # block, and every other column group's diagonal block is an identity
     B, norms = fm.matrix(theta)
     B /= norms
-    E = B.T @ B
-    np.fill_diagonal(E, 0.0)
-    obj = float(np.sum(E * E)) / fm.st.offdiag_count
-    mu = float(np.max(np.abs(E))) if E.size else 0.0
-    return obj, mu, (B, norms, E)
+    E = np.matmul(B.T, B, out=fm.E)
+    fm.E_diag[...] = 0.0
+    obj = float(np.add.reduce(np.multiply(E, E, out=fm.scratch), axis=None)) / fm.st.offdiag_count
+    if not math.isfinite(obj):
+        # a NaN norm turned its column's structural zeros into NaN; zero them again
+        B[...] = 0.0
+    return obj
 
 
-def _gradient(fm: _FlatMap, Bn: np.ndarray, norms: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """The gradient in theta: the map's adjoint of the global-matrix gradient."""
-    gt = (4.0 / fm.st.offdiag_count) * (Bn @ E)
-    radial = np.einsum("ij,ij->j", Bn, gt)
-    return fm.adjoint((gt - Bn * radial) / norms)
+def _coherence(fm: _FlatMap) -> float:
+    """The mutual coherence at the last evaluation: the largest |E| entry."""
+    return float(np.maximum.reduce(np.abs(fm.E, out=fm.scratch), axis=None))
+
+
+def _gradient(fm: _FlatMap) -> np.ndarray:
+    """The gradient in theta at the last evaluation: the map's adjoint of the
+    global-matrix gradient."""
+    Bn, G = fm.B, fm.G
+    np.matmul(Bn, fm.E, out=G)
+    G *= 4.0 / fm.st.offdiag_count
+    radial = np.einsum("ij,ij->j", Bn, G, out=fm.radial)
+    G -= np.multiply(Bn, radial, out=fm.sq)
+    G /= fm.norms
+    return fm.adjoint(G)
 
 
 def potential_gradient(params: dict[tuple[int, int], np.ndarray],
@@ -196,18 +244,19 @@ def potential_gradient(params: dict[tuple[int, int], np.ndarray],
     Verified against central finite differences in the test suite.
     """
     fm = _FlatMap(spec)
-    _, _, state = _evaluate(fm, fm.flatten(fm.st.build(params=params).params))
-    return fm.unflatten(_gradient(fm, *state))
+    _evaluate(fm, fm.flatten(fm.st.build(params=params).params))
+    return fm.unflatten(_gradient(fm))
 
 
 def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
     """One restart: returns (objective, mu, theta, trajectory, record)."""
     theta = fm.flatten(fm.st.build(seed=seed).params)
-    obj, mu, state = _evaluate(fm, theta)
+    obj = _evaluate(fm, theta)
+    mu = _coherence(fm)
     trajectory = [(0, obj, mu)]
     step, evaluations, stop = opts.step, 1, "max_iters"
     for it in range(1, opts.max_iters + 1):
-        grad = _gradient(fm, *state)
+        grad = _gradient(fm)
         gnorm_sq = float(grad @ grad)
         if gnorm_sq == 0.0:
             stop = "zero_gradient"
@@ -216,7 +265,7 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
             trial = theta - step * grad
             evaluations += 1
             try:
-                t_obj, t_mu, t_state = _evaluate(fm, trial)
+                t_obj = _evaluate(fm, trial)
             except FrameBuildError:
                 pass
             else:
@@ -228,7 +277,7 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
         else:
             stop = "step_underflow"
             break
-        theta, obj, mu, state = trial, t_obj, t_mu, t_state
+        theta, obj, mu = trial, t_obj, _coherence(fm)
         trajectory.append((it, obj, mu))
         step *= 2.0
         if len(trajectory) > opts.tol_window:

@@ -508,3 +508,19 @@ def test_module_entry_point_exit_codes(bad_spec, spec, code):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout.startswith("OK" if code == 0 else "FAIL")
+
+
+def test_params_refused_by_build_names_the_file(tmp_path, capsys):
+    # build refuses every misfit block together; the message names the file first
+    params = tmp_path / "p.json"
+    params.write_text('{"result": {"params": {"0,0": [[1]]}}}')
+    signals = tmp_path / "x.csv"
+    write_csv(signals, np.ones((1, 8)))
+    diagnostics = ("block (0, 0): expected shape (8, 12), got (1, 1); "
+                   "block (1, 1): missing parameters; block (2, 2): missing parameters")
+    for argv in (["analyze", str(EXAMPLES / "chain.json")],
+                 ["infer", str(EXAMPLES / "chain.json"), str(signals)]):
+        assert main(argv + ["--params", str(params)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"deepframe {argv[0]}: {params}: {diagnostics}\n"

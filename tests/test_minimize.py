@@ -1,6 +1,7 @@
 """Frame potential descent and its gradient."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,49 @@ def test_flat_map_refuses_dead_diagonal_column_like_build(spec, zero):
     with pytest.raises(FrameBuildError) as got:
         fm.matrix(fm.flatten(params))
     assert str(got.value) == str(want.value)
+
+
+def test_evaluation_allocates_less_than_one_operator():
+    # every evaluation and gradient overwrites the map's workspace in place
+    fm = _FlatMap(conv_spec("chain", 2, 6, [4, 4]))
+    theta = fm.flatten(fm.st.build(seed=0).params)
+    operator_bytes = fm.st.shape[0] * fm.st.shape[1] * 8
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            minimize._evaluate(fm, theta)
+            minimize._gradient(fm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < operator_bytes
+
+
+@pytest.mark.parametrize("spec,zero", [
+    pytest.param(fc_spec("chain", 3, [4, 3]), (slice(None), 1), id="fc"),
+    pytest.param(conv_spec("chain", 1, 4, [2, 2]), 1, id="conv"),
+])
+def test_workspace_keeps_nothing_from_earlier_evaluations(spec, zero):
+    # what an evaluation leaves in the workspace depends on its theta alone:
+    # not on a refused evaluation, another theta or a non-finite one before it
+    def state(fm, theta):
+        obj = minimize._evaluate(fm, theta)
+        return obj, minimize._coherence(fm), minimize._gradient(fm).tobytes()
+
+    fm = _FlatMap(spec)
+    params = fm.st.build(seed=0).params
+    theta = fm.flatten(params)
+    want = state(_FlatMap(spec), theta)
+    params[(0, 0)][zero] = 0.0
+    dead = fm.flatten(params)
+    other = fm.flatten(fm.st.build(seed=1).params)
+    with pytest.raises(FrameBuildError):
+        minimize._evaluate(fm, dead)
+    assert state(fm, theta) == want
+    state(fm, other)
+    assert state(fm, theta) == want
+    assert np.isnan(minimize._evaluate(fm, np.full_like(theta, np.nan)))
+    assert state(fm, theta) == want
 
 
 # --- descent ------------------------------------------------------------------
