@@ -110,17 +110,10 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
             v -= known.T @ (known @ v)
         return v
 
-    # q is held with a zero row below it, and a conv block writes P_i q into
-    # a padded buffer of its own, so both of its products run without a copy
+    # q is held with a zero row below it, so a conv block's product P_i q
+    # reads it without the copy that padding an operand costs
     padded = np.zeros(n + 1)
     q = padded[:n]
-    mids = [np.zeros(b.shape[0] + 1) if isinstance(b, Convolution) else None for b in blocks]
-
-    def gram_product(b, mid):  # q -> P^T (P q)
-        if mid is None:
-            return b.T @ (b @ q)
-        mid[:-1] = b.matmul_padded(padded)
-        return b.T.matmul_padded(mid)
 
     draws = np.random.default_rng(0)
     basis = np.empty((min(2 * RITZ_CHECK_EVERY, size), n))  # grown by doubling
@@ -132,7 +125,8 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
             basis = np.concatenate((basis, np.empty((min(k, size - k), n))))
         basis[k] = q
         known = basis[:k + 1]
-        w = sum(map(gram_product, blocks, mids))
+        w = sum(b.T @ b.matmul_padded(padded) if isinstance(b, Convolution) else b.T @ (b @ q)
+                for b in blocks)
         scale = np.linalg.norm(w)
         alphas.append(q @ w)
         beta = np.linalg.norm(orthogonalize(w, known))

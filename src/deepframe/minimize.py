@@ -150,19 +150,11 @@ class _FlatMap:
         self.index, self.source = index[learned], magnitude[learned].astype(np.intp) - 2
         self.sign = np.sign(value[learned])
         self.const_index, self.const_value = index[~learned], value[~learned]
-        # matrix()'s dead-column test reads the learnable diagonal blocks'
-        # placed entries, each with its column
-        rows, cols = np.divmod(self.index, width)
-        inside = np.zeros(self.index.size, dtype=bool)
-        for _, r, c in self.diagonal:
-            inside |= (r.start <= rows) & (rows < r.stop) & (c.start <= cols) & (cols < c.stop)
-        self.diag_at, self.diag_column = self.index[inside], cols[inside]
-        self.diag_columns = sum(c.stop - c.start for _, _, c in self.diagonal)
         self.B, self.sq, self.G = (np.zeros(st.shape) for _ in range(3))
         self.E, self.scratch = np.zeros((width, width)), np.zeros((width, width))
         self.E_diag = self.E.reshape(-1)[::width + 1]
         self.norms, self.radial = np.zeros(width), np.zeros(width)
-        self.values, self.diag_sq = np.zeros(self.index.size), np.zeros(self.diag_at.size)
+        self.values = np.zeros(self.index.size)
 
     def flatten(self, params) -> np.ndarray:
         theta = np.empty(self.size)
@@ -188,11 +180,8 @@ class _FlatMap:
         self.values *= self.sign
         flat[self.index] = self.values
         np.multiply(B, B, out=sq)
-        # a sum of squares is zero exactly when each of them is, in any order
-        np.take(sq.reshape(-1), self.diag_at, out=self.diag_sq, mode="clip")
-        if np.count_nonzero(np.bincount(self.diag_column, self.diag_sq)) < self.diag_columns:
-            for key, rows, cols in self.diagonal:  # word the refusal as build does
-                refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
+        for key, rows, cols in self.diagonal:
+            refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
         np.sqrt(np.add.reduce(sq, axis=0, out=self.norms), out=self.norms)
         return B, self.norms
 
