@@ -30,7 +30,8 @@ from .coherence import CSV_FIELDS, analyze
 from .framebuild import FrameBuildError, build_global_frame
 from .inference import DivergenceError, bcd_inference, feed_forward, layered_basis_pursuit
 from .matio import load_array, load_signals
-from .minimize import MinimizeError, MinimizeOptions, minimize_deep_frame_potential
+from .minimize import (STEP, TOL, TOL_WINDOW, MinimizeError, MinimizeOptions,
+                       minimize_deep_frame_potential)
 from .selection import evaluate_candidate, rank
 
 # every bad-input error the package raises (SpecError, FrameBuildError and
@@ -165,9 +166,14 @@ def _load_params(path, spec: ArchitectureSpec):
                 f"single learnable block is (0, 0); this spec has {learnable}"
             )
         params = {(0, 0): np.asarray(arr, dtype=float)}
-    bad = sorted(key for key, arr in params.items() if not np.all(np.isfinite(arr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = {key: float(np.sum(np.square(arr))) for key, arr in sorted(params.items())}
+    bad = [key for key, total in sums.items() if not math.isfinite(total)]
     if bad:
-        raise ValueError(f"{path}: non-finite parameter values in blocks {bad}")
+        raise ValueError(f"{path}: non-finite parameter values or sums of squares in blocks {bad}")
+    # the total bounds the squared norm of every global column
+    if not math.isfinite(sum(sums.values())):
+        raise ValueError(f"{path}: the sum of squares over blocks {list(sums)} is non-finite")
     return params
 
 
@@ -226,8 +232,8 @@ def cmd_minimize(args) -> int:
     result = minimize_deep_frame_potential(spec, opts)
     payload = _envelope(args.seed, [args.spec])
     payload["options"] = {
-        "max_iters": opts.max_iters, "step": opts.step, "tol": opts.tol,
-        "tol_window": opts.tol_window, "restarts": opts.restarts,
+        "max_iters": opts.max_iters, "step": STEP, "tol": TOL,
+        "tol_window": TOL_WINDOW, "restarts": opts.restarts,
     }
     payload["result"] = {
         "objective": result.objective,

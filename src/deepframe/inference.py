@@ -66,13 +66,13 @@ def prox_nonneg_soft_threshold(v: np.ndarray, lam: float) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=np.float64) - lam, 0.0)
 
 
-# Lanczos steps between two convergence checks; a check is one eigvalsh of
-# the tridiagonal, about the cost of a few block products
-RITZ_CHECK_EVERY = 4
+# Lanczos steps between two convergence checks (a check is one eigvalsh of
+# the tridiagonal, about the cost of a few block products), their relative
+# tolerance, and the cap on steps
+RITZ_CHECK_EVERY, RITZ_TOL, RITZ_MAX_ITERS = 4, 1e-13, 300
 
 
-def largest_sq_singular_value(*blocks, tol: float = 1e-13,
-                              max_iters: int = 300) -> float:
+def largest_sq_singular_value(*blocks) -> float:
     """Lanczos estimate of the largest eigenvalue of sum_i P_i^T P_i.
 
     ``blocks`` share one column count n and stand for their column stack
@@ -83,11 +83,11 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
 
     The Lanczos process (Lanczos 1950), with full reorthogonalization,
     builds an orthonormal basis of a Krylov space one product at a time,
-    at most min(``max_iters``, n) vectors. The estimate is the top Ritz
+    at most min(``RITZ_MAX_ITERS``, n) vectors. The estimate is the top Ritz
     value, the largest eigenvalue of the operator projected on that basis,
     hence a lower bound on the eigenvalue up to rounding. Every
     ``RITZ_CHECK_EVERY`` steps it is compared with the previous check's,
-    and the process stops when the two agree to ``tol`` (relative) or when
+    and the process stops when they agree to ``RITZ_TOL`` (relative) or when
     the basis is full; at n vectors the estimate is exact up to rounding.
     The start is a draw of a fixed-seed generator, so the estimate is
     deterministic: a structured start such as the ones vector can be
@@ -96,14 +96,12 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
     steps, the process continues from the generator's next draw,
     orthogonalized against the basis.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     blocks = [b if isinstance(b, (Diagonal, Convolution)) else np.asarray(b, dtype=np.float64)
               for b in blocks]
     n = blocks[0].shape[1]
     if n == 0:
         return 0.0
-    size = min(max_iters, n)
+    size = min(RITZ_MAX_ITERS, n)
 
     def orthogonalize(v, known):  # twice is enough to keep the basis orthonormal
         for _ in range(2):
@@ -133,7 +131,7 @@ def largest_sq_singular_value(*blocks, tol: float = 1e-13,
         if (k + 1) % RITZ_CHECK_EVERY == 0 or k + 1 == size:
             # eigvalsh reads the lower triangle: the diagonal and the betas below it
             top = np.linalg.eigvalsh(np.diag(alphas) + np.diag(betas, -1))[-1]
-            if k + 1 == size or prev is not None and abs(top - prev) <= tol * top:
+            if k + 1 == size or prev is not None and abs(top - prev) <= RITZ_TOL * top:
                 break
             prev = top
         if beta <= np.finfo(np.float64).eps * scale:  # rounding noise: an invariant space
@@ -155,7 +153,7 @@ def safe_step(*blocks) -> float:
     its Lipschitz constant L = ||P||^2 (see
     :func:`largest_sq_singular_value`): a top Ritz value, a lower bound on
     L up to rounding. The margin covers a converged estimate, which sits
-    within rounding of L; an estimate cut off at ``max_iters`` before its
+    within rounding of L; an estimate cut off at ``RITZ_MAX_ITERS`` before its
     Ritz values agree can sit further below L than the margin, and the
     step then exceeds 1/L by that gap. Any step below 2/L still makes each
     prox-linear step decrease the objective, which is what block descent
@@ -224,9 +222,12 @@ def _check_input(frame: GlobalFrame, x: np.ndarray) -> np.ndarray:
     x = x.reshape(x.shape[0], -1)
     if x.shape[1] == 0:
         raise ValueError("the signal batch is empty")
-    bad = np.flatnonzero(~np.all(np.isfinite(x), axis=0))
+    # a NaN or infinite entry makes the squared norm non-finite too
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->j", x, x)))
     if bad.size:
-        raise ValueError(f"input signals {bad.tolist()} have non-finite entries")
+        raise ValueError(f"input signals {bad.tolist()} have non-finite entries "
+                         f"or squared norms that overflow")
     return x
 
 

@@ -39,22 +39,22 @@ class MinimizeError(RuntimeError):
     """All restarts failed to produce a finite objective."""
 
 
+# the descent's fixed policy: first step, and the stop once the objective
+# fell by less than TOL (relative) over the last TOL_WINDOW accepted steps
+STEP, TOL, TOL_WINDOW = 1e-2, 1e-9, 50
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     """Settings for :func:`minimize_deep_frame_potential`."""
 
     seed: int = 0
     max_iters: int = 5000
-    step: float = 1e-2
-    tol: float = 1e-9
-    tol_window: int = 50
     restarts: int = 5
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol_window < 1 or self.restarts < 1:
+        if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("iteration counts and restarts must be positive")
-        if not (0 < self.step < math.inf and 0 < self.tol < math.inf):
-            raise ValueError("step and tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -243,7 +243,7 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
     obj = _evaluate(fm, theta)
     mu = _coherence(fm)
     trajectory = [(0, obj, mu)]
-    step, evaluations, stop = opts.step, 1, "max_iters"
+    step, evaluations, stop = STEP, 1, "max_iters"
     for it in range(1, opts.max_iters + 1):
         grad = _gradient(fm)
         gnorm_sq = float(grad @ grad)
@@ -269,9 +269,9 @@ def _descend(fm: _FlatMap, seed: int, opts: MinimizeOptions):
         theta, obj, mu = trial, t_obj, _coherence(fm)
         trajectory.append((it, obj, mu))
         step *= 2.0
-        if len(trajectory) > opts.tol_window:
-            past = trajectory[-opts.tol_window - 1][1]
-            if (past - obj) < opts.tol * max(past, 1e-30):
+        if len(trajectory) > TOL_WINDOW:
+            past = trajectory[-TOL_WINDOW - 1][1]
+            if (past - obj) < TOL * max(past, 1e-30):
                 stop = "tolerance"
                 break
     # every trial evaluation is either an accepted step or a backtrack

@@ -59,9 +59,12 @@ MIXED = [
     mixed_spec({"custom": [[2, 0]]}, 32, [(3, 2), 48, (3, 3)]),
     # a conv coupling (2, 0) beside the dense block (2, 1) on one row group
     mixed_spec("dense", 32, [(3, 2), 48, (3, 3)]),
+    # the dense block (1, 0) times the conv block (1, 1): ndarray.T @ Convolution
+    mixed_spec("dense", 32, [32, (2, 2), (2, 2)]),
 ]
 MIXED_IDS = ["fc-conv-chain", "conv-fc-chain", "conv-fc-dense", "conv-conv-fc-dense",
-             "fc-conv-conv-residual", "conv-fc-conv-custom", "conv-fc-conv-dense"]
+             "fc-conv-conv-residual", "conv-fc-conv-custom", "conv-fc-conv-dense",
+             "fc-conv-conv-dense"]
 
 
 def random_specs(count, rng=None, max_depth=4, max_width=16):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from deepframe import __version__, cli
+from deepframe.archspec import load_spec
 from deepframe.cli import main
+from deepframe.framebuild import build_global_frame
 from deepframe.matio import write_csv, write_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,6 +187,22 @@ def test_infer_refuses_non_finite_signals(specdir, tmp_path, capsys, method):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(tmp_path / "x.csv") in captured.err and "[1]" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["feed_forward", "layered_bp", "bcd"])
+def test_infer_refuses_overflowing_signals(tmp_path, capsys, method):
+    # finite entries whose squared norm overflows: one refusal for every method
+    signals = tmp_path / "x.csv"
+    write_csv(signals, np.array([[1.0] * 8, [1e200, 2e200, -1e200, 3e200] + [1e200] * 4]))
+    out = tmp_path / "out.json"
+    assert main(["infer", str(EXAMPLES / "chain.json"), str(signals),
+                 "--method", method, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("deepframe infer: input signals [1] have non-finite entries "
+                            "or squared norms that overflow\n")
+    assert not out.exists()
 
 
 def test_minimize_outputs_and_reruns_identically(specdir, tmp_path):
@@ -524,3 +542,29 @@ def test_params_refused_by_build_names_the_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"deepframe {argv[0]}: {params}: {diagnostics}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["chain", "conv_chain"])
+@pytest.mark.parametrize("total", [False, True], ids=["per-block", "total"])
+def test_params_with_overflowing_squares_exit_one(tmp_path, capsys, name, total):
+    # every block's sum of squares overflows, or each is finite and their total is not
+    spec = EXAMPLES / f"{name}.json"
+    params = build_global_frame(load_spec(spec), seed=0).params
+    assert len(params) >= 2
+    scale = {key: math.sqrt(1e308 / np.sum(arr * arr)) if total else 1e200
+             for key, arr in params.items()}
+    scaled = {f"{j},{k}": (arr * scale[(j, k)]).tolist() for (j, k), arr in params.items()}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(scaled))
+    signals = tmp_path / "x.csv"
+    write_csv(signals, np.ones((1, load_spec(spec).input_dim)))
+    for argv in (["analyze", str(spec)],
+                 *(["infer", str(spec), str(signals), "--method", method]
+                   for method in ("feed_forward", "layered_bp", "bcd"))):
+        assert main(argv + ["--params", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"deepframe {argv[0]}: {path}: ")
+        assert f"blocks {sorted(params)}" in captured.err and "non-finite" in captured.err
+        assert "Warning" not in captured.err

@@ -8,7 +8,7 @@ from deepframe.framebuild import (Convolution, Diagonal, GlobalFrame, build_glob
 from deepframe.inference import (STEP_MARGIN, bcd_inference, block_step_sizes, feed_forward,
                                  layered_basis_pursuit)
 
-from conftest import column_block, conv_spec, fc_spec
+from conftest import MIXED, MIXED_IDS, column_block, conv_spec, fc_spec
 
 SPECS = [
     pytest.param(fc_spec("chain", 5, [8, 6, 4]), id="fc-chain"),
@@ -98,7 +98,8 @@ def refuse(self, dtype=None, copy=None):
     raise AssertionError(f"a {type(self).__name__} block was densified")
 
 
-@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("spec", SPECS + [pytest.param(spec, id=name)
+                                          for spec, name in zip(MIXED, MIXED_IDS)])
 def test_hot_paths_never_densify(spec, rng, monkeypatch):
     monkeypatch.setattr(Diagonal, "__array__", refuse)
     monkeypatch.setattr(Convolution, "__array__", refuse)

@@ -106,11 +106,6 @@ def test_largest_sq_singular_value_null_start(mat, want):
     assert largest_sq_singular_value(np.array(mat)) == pytest.approx(want, rel=1e-12)
 
 
-def test_largest_sq_singular_value_needs_an_iteration():
-    with pytest.raises(ValueError, match="max_iters"):
-        largest_sq_singular_value(np.eye(2), max_iters=0)
-
-
 def test_ones_eigenvector_does_not_trap_the_estimate():
     # P^T P = [[2, -1], [-1, 2]] has the ones vector as its eigenvector of
     # eigenvalue 1; L = 3 lies on (1, -1)
@@ -270,6 +265,15 @@ def test_methods_refuse_non_finite_signal(method, bad):
     frame = build_global_frame(spec, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
         method(np.array([0.5, bad, -1.0]), frame, 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_objective_value_refuses_overflowing_signal():
+    frame = build_global_frame(fc_spec("chain", 3, [5, 4]), seed=0)
+    codes = [np.zeros(d) for d in frame.col_dims]
+    with pytest.raises(ValueError, match=r"^input signals \[0\] have non-finite entries "
+                       r"or squared norms that overflow$"):
+        objective_value(codes, frame, np.array([1e200, 0.0, -1e200]), 0.1)
 
 
 # --- block coordinate descent -------------------------------------------------

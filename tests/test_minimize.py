@@ -60,17 +60,7 @@ def test_options_validate():
     with pytest.raises(ValueError):
         MinimizeOptions(max_iters=0)
     with pytest.raises(ValueError):
-        MinimizeOptions(step=-1.0)
-    with pytest.raises(ValueError):
         MinimizeOptions(restarts=0)
-    with pytest.raises(ValueError):
-        MinimizeOptions(tol=0.0)
-    # NaN fails every comparison, so it has to be refused explicitly
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            MinimizeOptions(step=bad)
-        with pytest.raises(ValueError, match="finite"):
-            MinimizeOptions(tol=bad)
 
 
 # --- gradient -----------------------------------------------------------------
@@ -202,7 +192,7 @@ def block_descent(spec, seed, opts):
 
     params = st.build(seed=seed).params
     obj, Bn, norms, E = evaluate(params)
-    trajectory, step = [obj], opts.step
+    trajectory, step = [obj], minimize.STEP
     for _ in range(opts.max_iters):
         gt = (4.0 / st.offdiag_count) * (Bn @ E)
         gb = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / norms
@@ -232,7 +222,8 @@ def block_descent(spec, seed, opts):
 def test_flat_descent_reproduces_block_descent_bitwise(spec):
     # the flat descent keeps every sum order of the block-dict descent,
     # including the per-block order of ||g||^2 in the Armijo test
-    opts = MinimizeOptions(seed=2, restarts=1, max_iters=40, tol_window=1000)
+    opts = MinimizeOptions(seed=2, restarts=1, max_iters=40)
+    assert opts.max_iters < minimize.TOL_WINDOW  # the oracle has no tolerance stop
     res = minimize_deep_frame_potential(spec, opts)
     want_traj, want_params = block_descent(spec, 2, opts)
     assert [pt[1] for pt in res.trajectories[0]] == want_traj
