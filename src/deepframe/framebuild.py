@@ -8,13 +8,12 @@ array per learnable dense block, a :class:`Diagonal` per identity coupling
 and a :class:`Convolution` (the filter bank, applied through gather maps)
 per learnable conv block. A full dense matrix is materialized on demand
 only for small operators. What does not depend on parameter values
-(blocks, offsets, convolution geometries and their index maps, Gram block
-pairs with their filter offsets and masks, the structural off-diagonal
-count) is compiled once per spec into a :class:`FrameStructure`, which
-values fill in. The Gram matrix is held the same way, one :class:`ConvGram`
-per block pair: entries per filter offset, computed from the filter banks
-(no conv block is ever densified), and for a pair touching a dense block
-or of fully connected layers, the one-site case at the one offset zero.
+(blocks, convolution geometries and their index maps, the Gram plan, the
+structural off-diagonal count) is compiled once per spec into a
+:class:`FrameStructure`, which values fill in. The Gram matrix is held the
+same way, one :class:`ConvGram` per block pair: entries per filter offset
+from one contraction of the filter banks (never densified); a pair
+touching a dense block, or of fully connected layers, is the one-site case.
 
 Convolution blocks are linear operators that place every filter at every
 output grid position (zero padding, "same"-style). Column order is
@@ -355,22 +354,17 @@ class FrameStructure:
 
     @functools.cached_property
     def gram_plan(self) -> dict[tuple[int, int], _PairPlan]:
-        """The terms of each Gram block pair, one per shared row group, with
-        their offsets and masks (see :func:`gram`). Compiled on first use."""
+        """The compiled :class:`_PairPlan` of each Gram block pair, on first use."""
         blocks = {(b.row, b.col): b for b in self.blocks}
-        shapes: dict = {}  # terms of one window geometry share their offsets and masks
-        return {key: _PairPlan(self, blocks, key, rows, shapes)
+        shared: dict = {}  # pairings, layouts and offset unions, shared between pairs
+        return {key: _PairPlan(self, blocks, key, rows, shared)
                 for key, rows in self.shared.items()}
 
     @functools.cached_property
     def offdiag_count(self) -> int:
-        """Structurally nonzero off-diagonal entries of the Gram matrix.
-
-        Counts ordered column pairs whose placed supports overlap; values
-        play no part. A pair of column groups with a dense block on a
-        shared row group overlaps everywhere; any other pair overlaps where
-        the offset masks of its terms do (see :class:`_PairPlan`).
-        """
+        """Structurally nonzero off-diagonal entries of the Gram matrix: the
+        ordered column pairs whose placed supports overlap, whatever the
+        values (see :class:`_PairPlan`)."""
         return sum(plan.count for plan in self.gram_plan.values())
 
     def build(self, params: dict[tuple[int, int], np.ndarray] | None = None,
@@ -571,7 +565,8 @@ def normalize(frame: GlobalFrame) -> tuple[GlobalFrame, dict[int, np.ndarray]]:
 #
 # with u'(delta, u) the right tap meeting left tap u at offset delta, and
 # m_delta[u, t] = 1 where it does at site t. Offsets, tap pairing and masks
-# depend on the two maps alone; the banks and the column norms fill them in.
+# depend on the two maps alone. A block pair lays its terms on the union of
+# their offsets, taps side by side, so one sum over u adds them all.
 
 
 def _reads(st: FrameStructure, b: BlockDef, sites: int):
@@ -599,9 +594,8 @@ def _reads(st: FrameStructure, b: BlockDef, sites: int):
 def _pairing(touch: np.ndarray, inverse: np.ndarray, sites: int, ndim: int):
     """The offsets (D x ndim) at which a left block with ``touch`` meets a
     right block with ``inverse`` (see :func:`_reads`), the right tap
-    meeting each left tap (D x left taps; the right tap count where none
-    does), the masks (D x left taps x sites) as floats, which of them meet
-    at all (D x sites) and the right site of each (see :func:`_dest`), all
+    meeting each left tap (D x left taps; tap 0 where none does, which the
+    mask cancels) and the masks (D x left taps x sites, boolean), all
     row-major over the ``ndim`` grid axes of ``sites`` sites each."""
     n_sites = touch.shape[1]
     inverse = np.append(inverse, np.full((len(inverse), 1), n_sites), axis=1)
@@ -612,14 +606,18 @@ def _pairing(touch: np.ndarray, inverse: np.ndarray, sites: int, ndim: int):
     site = valid.argmax(axis=2)[right, left]
     coords = np.indices((sites,) * ndim).reshape(ndim, -1)
     delta = coords[:, meet[right, left, site]] - coords[:, site]
-    code = (2 * sites - 1) ** np.arange(ndim - 1, -1, -1) @ delta  # sorts offsets row-major
-    _, first, slot = np.unique(code, return_index=True, return_inverse=True)
+    _, first, slot = np.unique(_code(delta.T, sites), return_index=True, return_inverse=True)
     offsets = delta[:, first].T
-    partner = np.full((len(first), len(touch)), len(inverse))
+    partner = np.zeros((len(offsets), len(touch)), dtype=np.intp)
     partner[slot, left] = right
-    mask = np.zeros((len(first),) + touch.shape, dtype=bool)
+    mask = np.zeros((len(offsets),) + touch.shape, dtype=bool)
     mask[slot, left] = valid[right, left]
-    return offsets, partner, mask.astype(float), mask.any(axis=1), _dest(offsets, sites)
+    return offsets, partner, mask
+
+
+def _code(offsets: np.ndarray, sites: int) -> np.ndarray:
+    """An integer per offset (row) that sorts offsets row-major."""
+    return offsets @ (2 * sites - 1) ** np.arange(offsets.shape[1] - 1, -1, -1)
 
 
 def _dest(offsets: np.ndarray, sites: int) -> np.ndarray:
@@ -631,57 +629,26 @@ def _dest(offsets: np.ndarray, sites: int) -> np.ndarray:
     return np.where(((moved >= 0) & (moved < sites)).all(axis=1), flat, sites ** ndim)
 
 
-def _bank(blk: Block, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray | None]:
-    """A conv or identity block's bank (features x channels x taps, given
-    ``shape`` = (features, channels)) and the factor of each of its columns,
-    if any: 1/norms for a conv block, the diagonal of an identity (held as
-    a :class:`Diagonal` or densely)."""
-    if isinstance(blk, Convolution):
-        bank = blk.synth_bank if blk.coupling else blk.bank
-        return bank.reshape(shape + (-1,)), None if blk.norms is None else 1.0 / blk.norms
-    return np.eye(shape[0])[:, :, None], blk.d if isinstance(blk, Diagonal) else np.diagonal(blk)
-
-
-class _OffsetTerm:
-    """One shared row group's term of a Gram block pair, by offsets."""
-
-    def __init__(self, st: FrameStructure, left: BlockDef, right: BlockDef, shapes: dict):
-        self.keys = ((left.row, left.col), (right.row, right.col))
-        # blocks share row groups only in stride-1 specs, or within one layer,
-        # so every conv layer has the term's grid
-        ly = next(ly for ly in st.spec.layers if ly.is_conv)
-        self.sites, self.ndim = ly.grid_out, ly.ndim
-        (self.left, (touch, _)), (self.right, (_, inverse)) = (
-            _reads(st, b, self.sites ** self.ndim) for b in (left, right))
-        self.identities = left.role == right.role == "identity"
-        key = (touch.tobytes(), inverse.tobytes())  # terms of equal maps share their pairing
-        if key not in shapes:
-            shapes[key] = _pairing(touch, inverse, self.sites, self.ndim)
-        # meets: where columns (a, t) and (b, t + delta) share a row
-        self.offsets, self.partner, self.mask, self.meets, self.dest = shapes[key]
-
-    @property
-    def nbytes(self) -> int:
-        n_off, _, sites = self.mask.shape
-        return 8 * n_off * self.left[0] * self.right[0] * sites
-
-    def values(self, placed: dict[tuple[int, int], Block]) -> np.ndarray:
-        """G_delta[a, b, t] (offsets x left features x right features x sites),
-        divided by both sides' column norms."""
-        (n_off, n_taps, sites), f_l, f_r = self.mask.shape, self.left[0], self.right[0]
-        left, left_factor = _bank(placed[self.keys[0]], self.left)
-        right, right_factor = _bank(placed[self.keys[1]], self.right)
-        right = np.concatenate((right, np.zeros(right.shape[:2] + (1,))), axis=2)
-        meet = np.matmul(left.transpose(2, 0, 1), right[:, :, self.partner].transpose(2, 3, 1, 0))
-        out = np.matmul(meet.reshape(n_off, n_taps, -1).transpose(0, 2, 1), self.mask)
-        out = out.reshape(n_off, f_l, f_r, sites)
-        if left_factor is not None:
-            out *= left_factor.reshape(f_l, 1, sites)
-        if right_factor is not None:
-            right_factor = np.append(right_factor.reshape(f_r, sites),
-                                     np.zeros((f_r, 1)), axis=1)
-            out *= right_factor[:, self.dest].transpose(1, 0, 2)[:, None]
-        return out
+def _layout(pairings: list, sites: int, shared: dict):
+    """Lay a pair's term pairings (see :func:`_pairing`) on the sorted union of
+    their offsets: the union and its :func:`_dest` (shared by equal unions),
+    the masks side by side along the taps, each term's partner taps and slice."""
+    every = np.concatenate([offsets for offsets, _, _ in pairings])
+    codes, first = np.unique(_code(every, sites), return_index=True)
+    if codes.tobytes() not in shared:
+        shared[codes.tobytes()] = every[first], _dest(every[first], sites)
+    partners, masks = [], []
+    for offsets, partner, mask in pairings:
+        if len(offsets) < len(codes):  # a pairing on the union stays as it is
+            slot = np.searchsorted(codes, _code(offsets, sites))
+            laid = [np.zeros((len(codes),) + a.shape[1:], a.dtype) for a in (partner, mask)]
+            laid[0][slot], laid[1][slot] = partner, mask
+            partner, mask = laid
+        partners.append(partner)
+        masks.append(mask)
+    bounds = [0, *accumulate(mask.shape[1] for mask in masks)]
+    return (*shared[codes.tobytes()], masks[0] if len(masks) == 1 else np.concatenate(masks, 1),
+            partners, [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
 class ConvGram:
@@ -747,90 +714,130 @@ def _is_dense(b: BlockDef) -> bool:
 
 
 class _PairPlan:
-    """The terms of Gram block pair (j, k), one per shared row group.
+    """Gram block pair (j, k), compiled from its terms, one per shared row group.
 
-    A pair with a dense learnable block on a shared row group, or with no
-    conv layer among its column groups, is dense: its terms are block
-    products, but a term with a conv block and no dense one is an
-    :class:`_OffsetTerm` added in dense form; their sum is a one-site
-    :class:`ConvGram`. Any other pair is a :class:`ConvGram` over the union
-    of its terms' offsets. ``count`` is the pair's share of
-    :attr:`FrameStructure.offdiag_count`: everything for a pair touching a
-    dense block (every column of a placed block touches its row group),
-    otherwise the union of the terms' masks, over every feature pair
-    except for two identities, which meet feature to feature.
+    A term with a dense learnable block, or without a conv block in a pair of
+    fully connected column groups, is a block product (``products``); the
+    others are one contraction laid out by :func:`_layout` (``terms``), scaled
+    by the column factors of the first term's blocks, as every block of a
+    column group carries the same ones: 1/norms after :func:`normalize`, 1 on
+    a raw frame. A pair with a dense learnable block on a shared row group, or
+    with no conv layer among its column groups, is dense: a one-site
+    :class:`ConvGram` of its products and densified contraction. Any other
+    pair is a :class:`ConvGram` over ``offsets``. ``count`` is its share of
+    :attr:`FrameStructure.offdiag_count`: all of a pair touching a dense
+    block, else the union of the masks, over every feature pair but for two
+    identities, which meet feature to feature.
     """
 
     def __init__(self, st: FrameStructure, blocks: dict[tuple[int, int], BlockDef],
-                 key: tuple[int, int], rows: tuple[int, ...], shapes: dict):
+                 key: tuple[int, int], rows: tuple[int, ...], shared: dict):
         j, k = key
         self.diagonal = j == k
-        self.shape = (st.col_dims[j], st.col_dims[k])
+        self.shape = n_l, n_r = (st.col_dims[j], st.col_dims[k])
         sides = [(blocks[(i, j)], blocks[(i, k)]) for i in rows]
         touches_dense = any(_is_dense(b) for pair in sides for b in pair)
         self.dense = touches_dense or not any(st.spec.layers[c].is_conv for c in key)
-        self.terms = [
-            ((bl.row, bl.col), (br.row, br.col))
-            if _is_dense(bl) or _is_dense(br) or (self.dense and "conv" not in (bl.form, br.form))
-            else _OffsetTerm(st, bl, br, shapes)
-            for bl, br in sides]
-        n_l, n_r = self.shape
+        product = [_is_dense(bl) or _is_dense(br) or self.dense and "conv" not in (bl.form, br.form)
+                   for bl, br in sides]
+        self.products = [((bl.row, bl.col), (br.row, br.col))
+                         for (bl, br), is_product in zip(sides, product) if is_product]
+        terms = [pair for pair, is_product in zip(sides, product) if not is_product]
+        # besides the block: a product and its gathered operand, or the contraction's temporaries
+        self.nbytes = 8 * n_l * n_r
+        work = [self.nbytes + sum(8 * other * (g.corr_map if key[0] == key[1] else g.synth_map).size
+                                  for key, other in zip(term, self.shape[::-1])
+                                  if (g := st.conv_geometry.get(key)) is not None)
+                for term in self.products]
+        self.terms = []
+        if terms:
+            self._compile(st, terms, shared)
+            (n_off, n_taps, sites), (f_l, f_r) = self.mask.shape, self.features
+            values = 8 * n_off * f_l * f_r * sites
+            work.append(8 * n_off * n_taps * (f_l * f_r + sites)
+                        + (values + 8 * n_l * (n_r + f_r) if self.dense else 0))
         if self.dense:  # without a dense block, identities meet column to column
             count = (n_l * n_r if touches_dense else n_l) - (n_l if self.diagonal else 0)
-            self.nbytes = 8 * n_l * n_r
-            self.term_bytes = [self.nbytes + self._gather_bytes(st, term) for term in self.terms]
         else:
-            offsets = sorted({o for t in self.terms for o in map(tuple, t.offsets.tolist())})
-            self.offsets = np.array(offsets)
-            index = {o: d for d, o in enumerate(offsets)}
-            self.slots = [np.array([index[o] for o in map(tuple, t.offsets.tolist())])
-                          for t in self.terms]
-            first = self.terms[0]
-            f_l, f_r = first.left[0], first.right[0]
-            widest = max(self.terms, key=lambda t: len(t.offsets))
-            self.dest = (widest.dest if len(widest.offsets) == len(offsets)
-                         else _dest(self.offsets, first.sites))
-            full, eye = np.zeros((2,) + self.dest.shape, dtype=bool)
-            for term, slot in zip(self.terms, self.slots):
-                (eye if term.identities else full)[slot] |= term.meets
+            full, eye = np.zeros((2, n_off, sites), dtype=bool)
+            for (bl, br), (_, _, _, taps) in zip(terms, self.terms):
+                (eye if bl.role == br.role == "identity" else full)[...] |= \
+                    self.mask[:, taps].any(axis=1)
             count = f_l * f_r * np.count_nonzero(full) + f_l * np.count_nonzero(eye & ~full)
-            if self.diagonal:
-                count -= f_l * np.count_nonzero((full | eye)[index[(0,) * first.ndim]])
-            self.nbytes = 8 * self.dest.size * f_l * f_r
-            self.term_bytes = [t.nbytes for t in self.terms]
+            if self.diagonal:  # less the columns' own entries, at offset zero
+                count -= f_l * np.count_nonzero((full | eye)[~self.offsets.any(axis=1)])
+            self.nbytes = values
+        self.work = max(work)
         self.count = int(count if self.diagonal else 2 * count)
 
-    def _gather_bytes(self, st: FrameStructure, term) -> int:
-        """What a term of a dense pair allocates besides its product: the
-        dense form of an offset term, the gathered operand of a conv block."""
-        if isinstance(term, _OffsetTerm):
-            return term.nbytes + 8 * self.shape[0] * self.shape[1]
-        out = 0
-        for key, other in zip(term, self.shape[::-1]):
-            g = st.conv_geometry.get(key)
-            if g is not None:
-                out += 8 * (g.corr_map if key[0] == key[1] else g.synth_map).size * other
-        return out
+    def _compile(self, st: FrameStructure, terms: list, shared: dict) -> None:
+        # blocks share row groups only in stride-1 specs, or within one layer,
+        # so every conv layer has the terms' grid
+        ly = next(ly for ly in st.spec.layers if ly.is_conv)
+        reads, keys = [], []
+        for bl, br in terms:
+            (left, (touch, _)), (right, (_, inverse)) = (
+                _reads(st, b, ly.grid_out ** ly.ndim) for b in (bl, br))
+            reads.append((left, right))
+            keys.append((touch.tobytes(), inverse.tobytes()))  # equal maps share a pairing,
+            if keys[-1] not in shared:
+                shared[keys[-1]] = _pairing(touch, inverse, ly.grid_out, ly.ndim)
+        if tuple(keys) not in shared:  # and equal pairings a layout
+            shared[tuple(keys)] = _layout([shared[key] for key in keys], ly.grid_out, shared)
+        self.offsets, self.dest, self.mask, partners, slices = shared[tuple(keys)]
+        self.terms = [(_side(bl, shapes[0][0]), _side(br, shapes[1][0]), partner, taps)
+                      for (bl, br), shapes, partner, taps in zip(terms, reads, partners, slices)]
+        self.features = reads[0][0][0], reads[0][1][0]
+        self.factors = terms[0]
 
     def evaluate(self, placed: dict[tuple[int, int], Block]) -> ConvGram:
-        if self.dense:
+        """A product of each term's banks, one of them all with the masks, the factors."""
+        if not self.terms:
             acc = np.zeros(self.shape)
-            for term in self.terms:
-                if isinstance(term, _OffsetTerm):
-                    acc += np.asarray(ConvGram(term.values(placed), term.offsets, term.dest, False))
-                else:
-                    acc += placed[term[0]].T @ placed[term[1]]
-            return ConvGram.one_site(acc, self.diagonal)
-        values = None
-        for term, slot in zip(self.terms, self.slots):
-            part = term.values(placed)
-            if values is None and len(slot) == len(self.offsets):
-                values = part
-            else:
-                if values is None:
-                    values = np.zeros((len(self.offsets),) + part.shape[1:])
-                values[slot] += part
-        return ConvGram(values, self.offsets, self.dest, self.diagonal)
+        else:
+            (n_off, n_taps, sites), (f_l, f_r) = self.mask.shape, self.features
+            meet = np.empty((n_off, n_taps, f_l, f_r))
+            for left, right, partner, taps in self.terms:
+                left, right = _bank_of(placed, left), _bank_of(placed, right)
+                np.matmul(left.transpose(2, 0, 1), right[:, :, partner].transpose(2, 3, 1, 0),
+                          out=meet[:, taps])
+            out = np.matmul(meet.reshape(n_off, n_taps, -1).transpose(0, 2, 1), self.mask)
+            out = out.reshape(n_off, f_l, f_r, sites)
+            left, right = (_factor(placed[(b.row, b.col)]) for b in self.factors)
+            if left is not None:
+                out *= left.reshape(f_l, 1, sites)
+            if right is not None:
+                right = np.append(right.reshape(f_r, sites), np.zeros((f_r, 1)), axis=1)
+                out *= right[:, self.dest].transpose(1, 0, 2)[:, None]
+            if not self.dense:
+                return ConvGram(out, self.offsets, self.dest, self.diagonal)
+            acc = np.asarray(ConvGram(out, self.offsets, self.dest, False))
+        for left, right in self.products:
+            acc += placed[left].T @ placed[right]
+        return ConvGram.one_site(acc, self.diagonal)
+
+
+def _side(b: BlockDef, n: int):
+    """A side of an offset term: a conv block's :class:`BlockDef`, or an identity's signed bank."""
+    if b.form == "conv":
+        return b
+    return np.diag(np.full(n, 1.0 if b.is_diagonal else -1.0))[:, :, None]
+
+
+def _bank_of(placed: dict[tuple[int, int], Block], side) -> np.ndarray:
+    """The bank (features x channels x taps) of a side (see :func:`_side`)."""
+    if isinstance(side, np.ndarray):
+        return side
+    blk = placed[(side.row, side.col)]
+    bank = blk.synth_bank if blk.coupling else blk.bank  # features x channels*taps
+    return bank.reshape(len(bank), -1, blk.geometry.filter ** blk.geometry.ndim)
+
+
+def _factor(blk: Block) -> np.ndarray | None:
+    """A block's column factor: 1/norms of a normalized conv block, |diagonal| of an identity."""
+    if isinstance(blk, Convolution):
+        return None if blk.norms is None else 1.0 / blk.norms
+    return np.abs(blk.d if isinstance(blk, Diagonal) else np.diagonal(blk))
 
 
 @dataclass
@@ -862,27 +869,18 @@ GRAM_BYTE_LIMIT = 2 * 1024 ** 3
 
 
 def gram_bytes(st: FrameStructure) -> int:
-    """Estimated peak bytes of :func:`gram` on a frame of this structure.
-
-    Every Gram block as held (per offset, one site for a dense pair), the
-    largest term's own product before it is added (with what it gathers),
-    and the compiled masks of the offset terms.
-    """
+    """Estimated peak bytes of :func:`gram` on a frame of this structure: every block
+    as held, the most one pair allocates besides (see :class:`_PairPlan`), the masks."""
     plans = st.gram_plan.values()
-    masks = sum({id(t.mask): t.mask.nbytes for p in plans for t in p.terms
-                 if isinstance(t, _OffsetTerm)}.values())
-    return (sum(p.nbytes for p in plans) + max(b for p in plans for b in p.term_bytes)
-            + masks)
+    masks = sum({id(p.mask): p.mask.nbytes for p in plans if p.terms}.values())
+    return sum(p.nbytes for p in plans) + max(p.work for p in plans) + masks
 
 
 def gram(frame: GlobalFrame) -> GramStructure:
     """G = B^T B computed block-pair-wise, without materializing B.
 
-    Follows the structure's :attr:`~FrameStructure.gram_plan`: every pair
-    is a :class:`ConvGram`, per offset from the filter banks for column
-    groups of conv and identity blocks, one site of summed block products
-    for any other pair (one touching a dense block, or of fully connected
-    layers alone). No conv block is densified. Refuses, before it
+    Follows the structure's :attr:`~FrameStructure.gram_plan` (see
+    :class:`_PairPlan`); no conv block is densified. Refuses, before it
     allocates the blocks, a structure whose :func:`gram_bytes` exceed
     :data:`GRAM_BYTE_LIMIT`.
     """

@@ -94,7 +94,11 @@ def largest_sq_singular_value(*blocks) -> float:
     orthogonal to the top eigenvector (a symmetric filter's odd modes) and
     converge below it. When the Krylov space turns invariant before n
     steps, the process continues from the generator's next draw,
-    orthogonalized against the basis.
+    orthogonalized against the basis. Where the first product peaks past
+    2**400, every product is scaled by a power of two that brings it near
+    one, and the estimate scaled back: the squared norms of products past
+    about 1e154 overflow. Scaling by a power of two is exact, and smaller
+    products are left as they are.
     """
     blocks = [b if isinstance(b, (Diagonal, Convolution)) else np.asarray(b, dtype=np.float64)
               for b in blocks]
@@ -125,6 +129,10 @@ def largest_sq_singular_value(*blocks) -> float:
         known = basis[:k + 1]
         w = sum(b.T @ b.matmul_padded(padded) if isinstance(b, Convolution) else b.T @ (b @ q)
                 for b in blocks)
+        if k == 0:
+            peak = np.abs(w).max()
+            shrink = 2.0 ** -math.frexp(peak)[1] if peak > 2.0 ** 400 else 1.0
+        w *= shrink
         scale = np.linalg.norm(w)
         alphas.append(q @ w)
         beta = np.linalg.norm(orthogonalize(w, known))
@@ -140,7 +148,7 @@ def largest_sq_singular_value(*blocks) -> float:
         else:
             np.divide(w, beta, out=q)
         betas.append(beta)
-    return max(float(top), 0.0)
+    return max(float(top), 0.0) / shrink
 
 
 STEP_MARGIN = 1.0 + 1e-6
@@ -354,6 +362,17 @@ def objective_value(codes: list[np.ndarray], frame: GlobalFrame,
     return float(batch.objective()[0])
 
 
+def _finite(obj: np.ndarray, when: str) -> np.ndarray:
+    """The per-signal objectives, refused with a :class:`DivergenceError`
+    that names the first non-finite one. A code that overflowed makes the
+    penalty, hence the objective, non-finite, so the solvers run their
+    steps with overflow warnings off and check here instead."""
+    bad = np.flatnonzero(~np.isfinite(obj))
+    if bad.size:
+        raise DivergenceError(f"iterates of signal {bad[0]} went non-finite {when}")
+    return obj
+
+
 def _results(x, batch: _Batch, objectives: list[np.ndarray],
              steps, start: float, method: str) -> Results:
     """One result per signal; a single one when the signals came as a vector."""
@@ -384,8 +403,9 @@ def feed_forward(x: np.ndarray, frame: GlobalFrame, lam) -> Results:
     lams = _per_layer(lam, frame.depth, "penalty weights")
     steps = [1.0] * frame.depth
     batch = _Batch.zero_start(frame, signals, lams)
-    batch.sweep(steps, own_row_only=True)
-    return _results(x, batch, [batch.objective()], steps, start,
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch.sweep(steps, own_row_only=True)
+    return _results(x, batch, [_finite(batch.objective(), "in the forward pass")], steps, start,
                     "feed_forward")
 
 
@@ -414,12 +434,13 @@ def layered_basis_pursuit(x: np.ndarray, frame: GlobalFrame, lam,
         raise ValueError("iteration budget must be at least 1")
     steps = [safe_step(frame.placed[(j, j)]) for j in range(frame.depth)]
     batch = _Batch.zero_start(frame, signals, lams)
-    for j, rows in enumerate(frame.structure.rows_of):
-        for _ in range(budget):
-            batch.block_step(j, (j,), (j,), steps[j])
-        for i in rows[1:]:
-            batch.res[i] += batch.times[(i, j)](batch.codes_pad[j])
-    return _results(x, batch, [batch.objective()], steps, start,
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, rows in enumerate(frame.structure.rows_of):
+            for _ in range(budget):
+                batch.block_step(j, (j,), (j,), steps[j])
+            for i in rows[1:]:
+                batch.res[i] += batch.times[(i, j)](batch.codes_pad[j])
+    return _results(x, batch, [_finite(batch.objective(), "in layered pursuit")], steps, start,
                     "layered_bp")
 
 
@@ -484,15 +505,10 @@ def bcd_inference(x: np.ndarray, frame: GlobalFrame, lam, cycles: int = 100,
         batch.refresh_residual(signals)
     objectives: list[np.ndarray] = []
 
-    for cycle in range(cycles):
-        batch.sweep(steps, own_row_only=cycle == 0 and init is None)
-        # a non-finite code makes the penalty, hence the objective, non-finite
-        obj = batch.objective()
-        bad = np.flatnonzero(~np.isfinite(obj))
-        if bad.size:
-            raise DivergenceError(
-                f"iterates of signal {bad[0]} went non-finite at cycle {cycle + 1}")
-        objectives.append(obj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cycle in range(cycles):
+            batch.sweep(steps, own_row_only=cycle == 0 and init is None)
+            objectives.append(_finite(batch.objective(), f"at cycle {cycle + 1}"))
 
     return _results(x, batch, objectives, steps, start, "bcd")
 

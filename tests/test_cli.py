@@ -545,6 +545,25 @@ def test_params_refused_by_build_names_the_file(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_infer_forward_pass_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # every block's sum of squares is finite, but the codes of the forward
+    # pass overflow by the last layer
+    spec = EXAMPLES / "chain.json"
+    params = build_global_frame(load_spec(spec), seed=0).params
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({f"{j},{k}": (1e150 * arr).tolist()
+                                for (j, k), arr in params.items()}))
+    signals, out = tmp_path / "x.csv", tmp_path / "out.json"
+    write_csv(signals, np.ones((1, load_spec(spec).input_dim)))
+    assert main(["infer", str(spec), str(signals), "--params", str(path),
+                 "--method", "feed_forward", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("deepframe infer: numerical failure: iterates of signal 0 "
+                            "went non-finite in the forward pass\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", ["chain", "conv_chain"])
 @pytest.mark.parametrize("total", [False, True], ids=["per-block", "total"])
 def test_params_with_overflowing_squares_exit_one(tmp_path, capsys, name, total):

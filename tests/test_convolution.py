@@ -13,7 +13,7 @@ from deepframe.framebuild import (GRAM_BYTE_LIMIT, ConvGeometry, Convolution, Di
                                   normalize)
 from deepframe.inference import bcd_inference, feed_forward
 
-from conftest import conv_spec, fc_spec, loop_conv_entries
+from conftest import MIXED, MIXED_IDS, conv_spec, fc_spec, loop_conv_entries
 
 
 def dense_oracle(geometry, stored, coupling):
@@ -148,6 +148,37 @@ def test_analyze_refuses_oversized_gram(tmp_path, capsys):
     assert "GB limit" in capsys.readouterr().err
     assert peak < 200e6
 
+
+
+# frames whose Gram the estimate covers: the identity-coupling shapes, the
+# mixed kinds, the benchmark's analyze shapes, even filters and the target
+ESTIMATED = [
+    fc_spec("chain", 5, [8, 6, 4]), conv_spec("chain", 2, 4, [3, 3]),
+    fc_spec("residual", 4, [6, 5, 6]), conv_spec("residual", 2, 6, [2, 3, 2], ndim=1),
+    fc_spec("dense", 4, [6, 5, 3]), conv_spec("dense", 2, 3, [2, 2, 2]),
+    *MIXED,
+    conv_spec("chain", 3, 12, [8, 8]), conv_spec("chain", 3, 20, [16], filt=4, stride=2),
+    conv_spec("residual", 4, 64, [8, 8, 8], ndim=1), conv_spec("dense", 2, 10, [6, 6, 6]),
+    conv_spec("residual", 2, 6, [2, 3, 2], filt=4),
+    TARGET,
+]
+ESTIMATED_IDS = ["fc-chain", "conv-chain", "fc-residual", "conv-residual", "fc-dense",
+                 "conv-dense", *MIXED_IDS, "chain2d", "stride2d", "residual1d", "dense2d",
+                 "residual-f4", "target"]
+
+
+@pytest.mark.parametrize("spec", ESTIMATED, ids=ESTIMATED_IDS)
+def test_gram_bytes_bounds_what_gram_allocates(spec):
+    # under 64 KB, fixed allocation overhead outweighs the Gram itself
+    unit, _ = normalize(build_global_frame(spec, seed=0))
+    need = gram_bytes(unit.structure)  # compiles the plan before the count starts
+    tracemalloc.start()
+    try:
+        gram(unit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert need < 64 * 1024 or peak <= 1.25 * need
 
 def gram_entry(blk, row, col):
     """Entry (row, col) of a Gram block held by offsets."""

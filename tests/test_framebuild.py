@@ -268,6 +268,13 @@ def test_gram_trace_and_counts():
     assert g.offdiag_count >= structural
 
 
+# even filters: the terms of one Gram pair meet at offset boxes that are
+# not nested, so the pair's offsets are a union that no single term covers
+EVEN_RESIDUAL = [conv_spec("residual", 2, 6, [2, 3, 2], filt=f, ndim=n)
+                 for f in (4, 2) for n in (1, 2)]
+EVEN_RESIDUAL_IDS = [f"conv{n}d-residual-f{f}" for f in (4, 2) for n in (1, 2)]
+
+
 @pytest.mark.parametrize("spec", [
     fc_spec("chain", 4, [6, 5, 3]),
     fc_spec("residual", 4, [6, 5, 6]),
@@ -279,10 +286,11 @@ def test_gram_trace_and_counts():
     conv_spec("chain", 2, 6, [4], filt=4, stride=2),
     conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
     conv_spec("dense", 2, 4, [2, 2, 2]),
+    *EVEN_RESIDUAL,
     *MIXED,
 ], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv-stride2",
         "conv1d-residual", "conv-dense", "conv-stride2-f4", "conv1d-residual-2ch",
-        "conv-dense-2ch", *MIXED_IDS])
+        "conv-dense-2ch", *EVEN_RESIDUAL_IDS, *MIXED_IDS])
 def test_offdiag_count_equals_support_overlap(spec):
     # the structural count is the overlap count of the materialized supports
     frame = build_global_frame(spec, seed=3)
@@ -299,9 +307,10 @@ def test_offdiag_count_equals_support_overlap(spec):
     conv_spec("chain", 2, 4, [3, 2]),
     conv_spec("residual", 2, 8, [3, 3, 3], ndim=1),
     conv_spec("dense", 2, 4, [2, 2, 2]),
+    *EVEN_RESIDUAL,
     *MIXED,
 ], ids=["fc-chain", "fc-residual", "fc-dense", "conv-chain", "conv1d-residual",
-        "conv-dense", *MIXED_IDS])
+        "conv-dense", *EVEN_RESIDUAL_IDS, *MIXED_IDS])
 def test_gram_blocks_equal_dense_slices(spec):
     # identity couplings enter as diagonal scalings; every block still
     # equals its slice of the dense product, and absent pairs are zero

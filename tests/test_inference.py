@@ -1,12 +1,15 @@
 """Sparse inference: prox, forward pass, block descent, layered pursuit."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deepframe.archspec import load_spec
 from deepframe.framebuild import Diagonal, build_global_frame, normalize
 from deepframe.inference import (
+    STEP_MARGIN,
     DivergenceError,
     UnsupportedMethodError,
     bcd_inference,
@@ -161,6 +164,24 @@ def test_safe_step_is_below_lipschitz(rng):
     lip = float(np.linalg.svd(mat, compute_uv=False)[0] ** 2)
     assert safe_step(mat) < 1.0 / lip
 
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["chain", "conv_chain"])
+def test_step_sizes_hold_at_large_parameter_scales(name):
+    # at 1e150 the Gram products' squared norms overflow. Identity couplings
+    # keep their scale, so the oracle is each column block's top eigenvalue,
+    # computed exactly on the block rescaled by a power of two
+    spec = load_spec(Path(__file__).parent.parent / "docs" / "examples" / f"{name}.json")
+    params = build_global_frame(spec, seed=0).params
+    frame = build_global_frame(spec, params={key: 1e150 * arr for key, arr in params.items()})
+    for j, step in enumerate(block_step_sizes(frame)):
+        blk = column_block(frame, j) * 2.0 ** -500
+        lip = np.linalg.eigvalsh(blk.T @ blk)[-1] * 2.0 ** 1000
+        assert step * lip * STEP_MARGIN == pytest.approx(1.0, rel=1e-12)
+    x = np.random.default_rng(0).normal(size=(spec.input_dim, 2))
+    for res in bcd_inference(x, frame, 0.1, cycles=20):
+        assert all(q <= p for p, q in zip(res.objectives, res.objectives[1:]))
 
 # --- global objective and forward pass ---------------------------------------
 
