@@ -21,6 +21,9 @@ Gram, one Gram-sized scratch and the gradient, and every evaluation
 overwrites it in place. The gradient and the coherence read the last
 evaluation's workspace, which the descent takes right after evaluating
 the start or an accepted trial, before the next trial overwrites it.
+The Gram and gradient products cover the operator's block band only, one
+per panel (see :func:`_panels`). Gram entries off the band stay 0, and a
+frame whose panels merge into one forms the whole products.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ class MinimizeError(RuntimeError):
 # the descent's fixed policy: first step, and the stop once the objective
 # fell by less than TOL (relative) over the last TOL_WINDOW accepted steps
 STEP, TOL, TOL_WINDOW = 1e-2, 1e-9, 50
+
+# the cost of one matrix-product call in multiply-adds, which panels weigh against their size
+CALL_COST = 20000
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,8 @@ class _FlatMap:
     only the placed entries), its squares ``sq``, the column ``norms``, the
     Gram ``E`` with one E-sized ``scratch``, and the R x C gradient ``G``.
     :func:`_gradient` and :func:`_coherence` read the last evaluation's.
+    ``panels`` views, per panel in ``spans`` (:func:`_panels`), its columns
+    and partners of ``B``, its rows of ``E`` and their transpose, and its ``G``.
     """
 
     def __init__(self, spec: ArchitectureSpec):
@@ -155,6 +163,9 @@ class _FlatMap:
         self.E_diag = self.E.reshape(-1)[::width + 1]
         self.norms, self.radial = np.zeros(width), np.zeros(width)
         self.values = np.zeros(self.index.size)
+        self.spans = _panels(st)
+        B, E, G = self.B, self.E, self.G
+        self.panels = [(B[r, c].T, B[r, p], E[c, p], E[p, c], G[r, c]) for r, c, p in self.spans]
 
     def flatten(self, params) -> np.ndarray:
         theta = np.empty(self.size)
@@ -192,6 +203,22 @@ class _FlatMap:
         return np.bincount(self.source, weights=self.values, minlength=self.size)
 
 
+def _panels(st: FrameStructure) -> list[tuple[slice, slice, slice]]:
+    """The cheapest split of the column groups into panels, runs of adjacent
+    groups, each as (rows its blocks cover, its columns, its Gram partners)."""
+    def span(lo, hi):
+        rows = [i for j in range(lo, hi) for i in st.rows_of[j]]
+        ks = [k for pair in st.shared if lo <= pair[0] < hi or lo <= pair[1] < hi for k in pair]
+        return (slice(st.row_off[min(rows)], st.row_off[max(rows) + 1]),
+                slice(st.col_off[lo], st.col_off[hi]), slice(st.col_off[min(ks)], st.col_off[max(ks) + 1]))
+    best = [(0, [])]  # the cost and panels of the cheapest split of the first hi groups
+    for hi in range(1, len(st.col_dims) + 1):
+        runs = [(lo, span(lo, hi)) for lo in range(hi)]
+        best.append(min(((best[lo][0] + CALL_COST + math.prod(s.stop - s.start for s in run),
+                          best[lo][1] + [run]) for lo, run in runs), key=lambda b: b[0]))
+    return best[-1][1]
+
+
 def _evaluate(fm: _FlatMap, theta: np.ndarray) -> float:
     """The objective at theta, which leaves the descent state (the normalized
     operator, its norms and E) in fm's workspace."""
@@ -199,7 +226,9 @@ def _evaluate(fm: _FlatMap, theta: np.ndarray) -> float:
     # block, and every other column group's diagonal block is an identity
     B, norms = fm.matrix(theta)
     B /= norms
-    E = np.matmul(B.T, B, out=fm.E)
+    for b_cols_t, b_partners, e_panel, _, _ in fm.panels:
+        np.matmul(b_cols_t, b_partners, out=e_panel)
+    E = fm.E
     fm.E_diag[...] = 0.0
     obj = float(np.add.reduce(np.multiply(E, E, out=fm.scratch), axis=None)) / fm.st.offdiag_count
     if not math.isfinite(obj):
@@ -217,7 +246,8 @@ def _gradient(fm: _FlatMap) -> np.ndarray:
     """The gradient in theta at the last evaluation: the map's adjoint of the
     global-matrix gradient."""
     Bn, G = fm.B, fm.G
-    np.matmul(Bn, fm.E, out=G)
+    for _, b_partners, _, e_partners, g_panel in fm.panels:
+        np.matmul(b_partners, e_partners, out=g_panel)
     G *= 4.0 / fm.st.offdiag_count
     radial = np.einsum("ij,ij->j", Bn, G, out=fm.radial)
     G -= np.multiply(Bn, radial, out=fm.sq)

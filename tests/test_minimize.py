@@ -19,6 +19,8 @@ from deepframe.minimize import (
 
 from conftest import MIXED, MIXED_IDS, conv_spec, fc_spec
 
+EPS = np.finfo(float).eps
+
 
 def objective_at(spec, params):
     """The quantity the minimizer descends, recomputed from scratch."""
@@ -118,6 +120,13 @@ MAP_SPECS = [
     *[pytest.param(spec, id=name) for spec, name in zip(MIXED, MIXED_IDS)],
 ]
 
+# criterion 8's smallest ladder: chain and residual split into panels
+LADDER_A = [
+    pytest.param(conv_spec("chain", 2, 3, [4] * 5), id="ladder-a-chain"),
+    pytest.param(conv_spec("residual", 2, 3, [4] * 5), id="ladder-a-residual"),
+    pytest.param(conv_spec("dense", 2, 3, [3, 3, 3, 2, 2]), id="ladder-a-dense"),
+]
+
 
 def block_scatter(st, gb):
     """Oracle adjoint: scatter a global-matrix gradient into blocks and taps."""
@@ -166,6 +175,37 @@ def test_flat_map_adjoint_equals_block_scatter(spec):
         assert np.array_equal(got[key], want[key])
 
 
+def off_band(st):
+    """True on the Gram entries of column-group pairs that share no row group."""
+    depth = len(st.col_dims)
+    apart = np.array([[(min(j, k), max(j, k)) not in st.shared for k in range(depth)]
+                      for j in range(depth)])
+    return np.repeat(np.repeat(apart, st.col_dims, axis=0), st.col_dims, axis=1)
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS + LADDER_A)
+def test_panel_products_match_dense(spec):
+    fm = _FlatMap(spec)
+    rows, cols = fm.st.shape
+    if all(ly.kind == "fully_connected" for ly in spec.layers):
+        assert fm.spans == [(slice(0, rows), slice(0, cols), slice(0, cols))]
+    if spec.connectivity.kind in ("chain", "residual") and spec.depth == 5:  # ladder A
+        assert len(fm.spans) >= 2
+    minimize._evaluate(fm, fm.flatten(fm.st.build(seed=5).params))
+    Bn = fm.B.copy()
+    dense = Bn.T @ Bn
+    np.fill_diagonal(dense, 0.0)
+    assert np.max(np.abs(fm.E - dense)) <= 4 * EPS
+    assert not np.any(fm.E[off_band(fm.st)])
+    # the product Bn @ E, carried through the tangent projection and the raw
+    # norms, against the dense chain on every placed entry
+    minimize._gradient(fm)
+    gt = (4.0 / fm.st.offdiag_count) * (Bn @ dense)
+    want = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / fm.norms
+    placed = Bn != 0
+    assert np.max(np.abs(fm.G[placed] - want[placed])) <= 16 * EPS * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("spec", MAP_SPECS)
 def test_flat_map_sq_norm_sums_per_parameter_array(spec):
     # theta is the parameter arrays laid end to end, each in its own memory
@@ -179,14 +219,18 @@ def test_flat_map_sq_norm_sums_per_parameter_array(spec):
 
 
 def block_descent(spec, seed, opts):
-    """Oracle descent on per-block parameter dicts, rebuilding the frame per evaluation."""
+    """Oracle descent on per-block parameter dicts, rebuilding the frame per
+    evaluation. Its Gram and gradient products run over the descent's panels."""
     st = framebuild.FrameStructure(spec)
+    spans = _FlatMap(spec).spans
 
     def evaluate(params):
         B = st.build(params=params).materialize()
         norms = np.linalg.norm(B, axis=0)
         Bn = B / norms
-        E = Bn.T @ Bn
+        E = np.zeros((B.shape[1], B.shape[1]))
+        for rows, cols, partners in spans:
+            E[cols, partners] = Bn[rows, cols].T @ Bn[rows, partners]
         np.fill_diagonal(E, 0.0)
         return float(np.sum(E * E)) / st.offdiag_count, Bn, norms, E
 
@@ -194,7 +238,10 @@ def block_descent(spec, seed, opts):
     obj, Bn, norms, E = evaluate(params)
     trajectory, step = [obj], minimize.STEP
     for _ in range(opts.max_iters):
-        gt = (4.0 / st.offdiag_count) * (Bn @ E)
+        gt = np.zeros(Bn.shape)
+        for rows, cols, partners in spans:
+            gt[rows, cols] = Bn[rows, partners] @ E[partners, cols]
+        gt *= 4.0 / st.offdiag_count
         gb = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / norms
         grads = block_scatter(st, gb)
         gnorm_sq = sum(float(np.sum(g * g)) for g in grads.values())
@@ -217,6 +264,7 @@ def block_descent(spec, seed, opts):
     pytest.param(fc_spec("residual", 4, [4, 3, 4]), id="fc-residual"),
     pytest.param(conv_spec("dense", 2, 4, [3, 2, 2]), id="conv-dense"),
     pytest.param(conv_spec("chain", 2, 3, [4, 4]), id="conv-chain"),
+    LADDER_A[0],
     *[pytest.param(spec, id=name) for spec, name in zip(MIXED, MIXED_IDS)],
 ])
 def test_flat_descent_reproduces_block_descent_bitwise(spec):
@@ -251,6 +299,7 @@ def test_flat_map_refuses_dead_diagonal_column_like_build(spec, zero):
 def test_evaluation_allocates_less_than_one_operator():
     # every evaluation and gradient overwrites the map's workspace in place
     fm = _FlatMap(conv_spec("chain", 2, 6, [4, 4]))
+    assert len(fm.spans) >= 2
     theta = fm.flatten(fm.st.build(seed=0).params)
     operator_bytes = fm.st.shape[0] * fm.st.shape[1] * 8
     tracemalloc.start()
@@ -262,6 +311,12 @@ def test_evaluation_allocates_less_than_one_operator():
     finally:
         tracemalloc.stop()
     assert peak < operator_bytes
+    band = off_band(fm.st)
+    assert np.isnan(minimize._evaluate(fm, np.full_like(theta, np.nan)))
+    assert not np.any(fm.E[band])
+    with pytest.raises(FrameBuildError):
+        minimize._evaluate(fm, np.zeros_like(theta))
+    assert not np.any(fm.E[band])
 
 
 @pytest.mark.parametrize("spec,zero", [
@@ -276,6 +331,9 @@ def test_workspace_keeps_nothing_from_earlier_evaluations(spec, zero):
         return obj, minimize._coherence(fm), minimize._gradient(fm).tobytes()
 
     fm = _FlatMap(spec)
+    if spec.layers[0].kind == "convolutional":
+        assert len(fm.spans) >= 2
+    band = off_band(fm.st)
     params = fm.st.build(seed=0).params
     theta = fm.flatten(params)
     want = state(_FlatMap(spec), theta)
@@ -284,10 +342,12 @@ def test_workspace_keeps_nothing_from_earlier_evaluations(spec, zero):
     other = fm.flatten(fm.st.build(seed=1).params)
     with pytest.raises(FrameBuildError):
         minimize._evaluate(fm, dead)
+    assert not np.any(fm.E[band])
     assert state(fm, theta) == want
     state(fm, other)
     assert state(fm, theta) == want
     assert np.isnan(minimize._evaluate(fm, np.full_like(theta, np.nan)))
+    assert not np.any(fm.E[band])
     assert state(fm, theta) == want
 
 
