@@ -16,14 +16,11 @@ respect to the normalized operator is 4*B_n*E / count; each column is then
 projected onto the tangent of its unit sphere and divided by its raw norm,
 and the map's adjoint (one ``np.bincount``) pulls that back to theta.
 
-Each call allocates one workspace, the dense operator, its squares, the
-Gram, one Gram-sized scratch and the gradient, and every evaluation
-overwrites it in place. The gradient and the coherence read the last
-evaluation's workspace, which the descent takes right after evaluating
-the start or an accepted trial, before the next trial overwrites it.
-The Gram and gradient products cover the operator's block band only, one
-per panel (see :func:`_panels`). Gram entries off the band stay 0, and a
-frame whose panels merge into one forms the whole products.
+Each call allocates one workspace that every evaluation overwrites. The
+Gram and gradient products cover the operator's block band only, one per
+panel (see :func:`_panels`); every other pass runs on vectors over the
+operator's placed entries. The gradient and the coherence read the last
+evaluation's workspace: the start or an accepted trial.
 """
 
 from __future__ import annotations
@@ -115,18 +112,19 @@ class _FlatMap:
     off-diagonal dense block transposed. The map is read off ``build``:
     theta's entries, numbered 2, 3, ..., are placed once, so each lands
     where the structure places it, with the sign it gives it, whatever
-    the layout. Entry e, ``sign[e] * theta[source[e]]``, goes to global
-    flat ``index[e]``, in row-major order; the placed +-1 entries are the
-    identity couplings' constants.
+    the layout. The placed entries, learned and constant, are kept in flat
+    row-major order: entry e sits at flat ``pos[e]`` in column ``col[e]`` and
+    holds ``sign[e] * lookup[source[e]]``, where ``lookup`` is theta followed
+    by the 1.0 that the identity couplings' +-1 constants read.
 
     The workspace is allocated once per map, so once per
-    :func:`minimize_deep_frame_potential` call, and every evaluation
-    overwrites it: the operator ``B`` (zeroed here; an evaluation writes
-    only the placed entries), its squares ``sq``, the column ``norms``, the
-    Gram ``E`` with one E-sized ``scratch``, and the R x C gradient ``G``.
-    :func:`_gradient` and :func:`_coherence` read the last evaluation's.
-    ``panels`` views, per panel in ``spans`` (:func:`_panels`), its columns
-    and partners of ``B``, its rows of ``E`` and their transpose, and its ``G``.
+    :func:`minimize_deep_frame_potential` call. Vectors over the placed
+    entries hold their raw ``values``, squares ``sq`` (also a scratch),
+    column norms ``scale``, normalized ``unit`` values and gradient ``grad``.
+    The dense arrays are the normalized operator ``B``, 0 off the placed
+    entries, the Gram ``E`` and the gradient product ``G``. ``panels`` views,
+    per panel in ``spans`` (:func:`_panels`), its columns and partners of
+    ``B``, its rows of ``E`` and their transpose, and its ``G``.
     """
 
     def __init__(self, spec: ArchitectureSpec):
@@ -139,32 +137,29 @@ class _FlatMap:
         if st.offdiag_count == 0:
             raise ValueError("this structure has no off-diagonal Gram entries; orthogonality "
                              "is attainable and there is nothing to minimize")
-        self.segments, self.diagonal, start = [], [], 0
+        self.segments, start = [], 0
         for b in st.learnable:
             self.segments.append((b, start, start + math.prod(b.shape)))
             start = self.segments[-1][2]
-            if b.is_diagonal:
-                r0, c0 = st.row_off[b.row], st.col_off[b.col]
-                self.diagonal.append(((b.row, b.col), slice(r0, r0 + b.placed_shape[0]),
-                                      slice(c0, c0 + b.placed_shape[1])))
         self.size = start
+        self.diagonal = [((b.row, b.col), slice(st.col_off[b.col], st.col_off[b.col + 1]))
+                         for b in st.learnable if b.is_diagonal]
         numbered = st.build(params=self.unflatten(np.arange(2.0, start + 2)))
         placed = numbered.materialize(max_cols=width).reshape(-1)
-        index = np.flatnonzero(placed)
-        value = placed[index]
+        self.pos = np.flatnonzero(placed)
+        value = placed[self.pos]
         del numbered, placed  # free the dense scratch before the map's lasting arrays
-        magnitude = np.abs(value)
-        learned = magnitude >= 2
-        self.index, self.source = index[learned], magnitude[learned].astype(np.intp) - 2
-        self.sign = np.sign(value[learned])
-        self.const_index, self.const_value = index[~learned], value[~learned]
-        self.B, self.sq, self.G = (np.zeros(st.shape) for _ in range(3))
-        self.E, self.scratch = np.zeros((width, width)), np.zeros((width, width))
-        self.E_diag = self.E.reshape(-1)[::width + 1]
-        self.norms, self.radial = np.zeros(width), np.zeros(width)
-        self.values = np.zeros(self.index.size)
+        self.source = np.where(np.abs(value) >= 2, np.abs(value) - 2, start).astype(np.intp)
+        self.sign, self.col = np.sign(value), self.pos % width
+        # the learnable diagonal blocks' entries: learned, in row group = column group
+        row_group, col_group = (np.searchsorted(off, at, side="right") for off, at in
+                                ((st.row_off, self.pos // width), (st.col_off, self.col)))
+        self.diag_at = np.flatnonzero((self.source < start) & (row_group == col_group))
+        self.lookup, self.norms = np.ones(start + 1), np.zeros(width)
+        self.values, self.sq, self.scale, self.unit, self.grad = np.zeros((5, self.pos.size))
+        B, G, E = self.B, self.G, self.E = np.zeros(st.shape), np.zeros(st.shape), np.zeros((width, width))
+        self.E_diag = E.reshape(-1)[::width + 1]
         self.spans = _panels(st)
-        B, E, G = self.B, self.E, self.G
         self.panels = [(B[r, c].T, B[r, p], E[c, p], E[p, c], G[r, c]) for r, c, p in self.spans]
 
     def flatten(self, params) -> np.ndarray:
@@ -178,81 +173,85 @@ class _FlatMap:
         return {(b.row, b.col): theta[lo:hi].reshape(b.shape) for b, lo, hi in self.segments}
 
     def matrix(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The dense operator at theta and its global column norms, written
-        into the workspace's ``B`` and ``norms``.
-
-        The operator is squared once: ``build``'s refusal of a zero column in
-        a learnable diagonal block and the global norms both read the squares.
-        """
-        B, sq, flat = self.B, self.sq, self.B.reshape(-1)
-        flat[self.const_index] = self.const_value
+        """The placed entries' values at theta and the global column norms, in
+        the workspace. ``build``'s dead-column refusal and the norms both read
+        the squares; each norm adds its column in row order."""
+        self.lookup[:self.size] = theta
         # mode="clip" lets take write straight into out; every index is in range
-        np.take(theta, self.source, out=self.values, mode="clip")
+        np.take(self.lookup, self.source, out=self.values, mode="clip")
         self.values *= self.sign
-        flat[self.index] = self.values
-        np.multiply(B, B, out=sq)
-        for key, rows, cols in self.diagonal:
-            refuse_dead_columns(key, np.add.reduce(sq[rows, cols], axis=0))
-        np.sqrt(np.add.reduce(sq, axis=0, out=self.norms), out=self.norms)
-        return B, self.norms
+        sq = np.multiply(self.values, self.values, out=self.sq)
+        if np.count_nonzero(sq) < sq.size:  # a dead column needs a zero square
+            col_sq = np.bincount(self.col[self.diag_at], sq[self.diag_at], minlength=self.norms.size)
+            for key, cols in self.diagonal:
+                refuse_dead_columns(key, col_sq[cols])
+        np.sqrt(np.bincount(self.col, sq, minlength=self.norms.size), out=self.norms)
+        return self.values, self.norms
 
-    def adjoint(self, G: np.ndarray) -> np.ndarray:
-        """The map's adjoint: each placed entry of G, signed, summed into theta."""
-        np.take(G.reshape(-1), self.index, out=self.values, mode="clip")
-        self.values *= self.sign
-        return np.bincount(self.source, weights=self.values, minlength=self.size)
+    def adjoint(self, values: np.ndarray) -> np.ndarray:
+        """The map's adjoint: each placed entry's value, signed, summed into
+        theta; the constants' sum lands past theta's end and is dropped."""
+        np.multiply(values, self.sign, out=self.sq)
+        return np.bincount(self.source, weights=self.sq, minlength=self.size + 1)[:self.size]
 
 
 def _panels(st: FrameStructure) -> list[tuple[slice, slice, slice]]:
     """The cheapest split of the column groups into panels, runs of adjacent
-    groups, each as (rows its blocks cover, its columns, its Gram partners)."""
-    def span(lo, hi):
-        rows = [i for j in range(lo, hi) for i in st.rows_of[j]]
-        ks = [k for pair in st.shared if lo <= pair[0] < hi or lo <= pair[1] < hi for k in pair]
-        return (slice(st.row_off[min(rows)], st.row_off[max(rows) + 1]),
-                slice(st.col_off[lo], st.col_off[hi]), slice(st.col_off[min(ks)], st.col_off[max(ks) + 1]))
-    best = [(0, [])]  # the cost and panels of the cheapest split of the first hi groups
-    for hi in range(1, len(st.col_dims) + 1):
-        runs = [(lo, span(lo, hi)) for lo in range(hi)]
-        best.append(min(((best[lo][0] + CALL_COST + math.prod(s.stop - s.start for s in run),
-                          best[lo][1] + [run]) for lo, run in runs), key=lambda b: b[0]))
-    return best[-1][1]
+    groups, each as (rows its blocks cover, its columns, its Gram partners).
+    A run's row and partner hulls grow group by group as it extends left."""
+    off, row_off = st.col_off, st.row_off
+    hull = [[min(rows), max(rows), j, j] for j, rows in enumerate(st.rows_of)]  # rows, partners
+    for j, k in st.shared:  # j <= k
+        hull[j][3], hull[k][2] = max(hull[j][3], k), min(hull[k][2], j)
+    best = [(0, 0, None)]  # per hi, the cheapest split of the first hi groups: cost, last run's lo, span
+    for hi in range(1, len(hull) + 1):
+        runs, (r0, r1, p0, p1) = [], hull[hi - 1]
+        for lo in reversed(range(hi)):
+            h = hull[lo]
+            r0, r1, p0, p1 = min(r0, h[0]), max(r1, h[1]), min(p0, h[2]), max(p1, h[3])
+            run = (slice(row_off[r0], row_off[r1 + 1]), slice(off[lo], off[hi]), slice(off[p0], off[p1 + 1]))
+            runs.append((best[lo][0] + CALL_COST + math.prod(s.stop - s.start for s in run), lo, run))
+        best.append(min(runs, key=lambda r: r[:2]))  # ties keep the longer run
+    spans, hi = [], len(hull)
+    while hi:
+        _, hi, run = best[hi]
+        spans.insert(0, run)
+    return spans
 
 
 def _evaluate(fm: _FlatMap, theta: np.ndarray) -> float:
     """The objective at theta, which leaves the descent state (the normalized
-    operator, its norms and E) in fm's workspace."""
+    operator and its values, the norms and E) in fm's workspace."""
+    values, norms = fm.matrix(theta)
     # no norm is zero: matrix() refuses a dead column of a learnable diagonal
     # block, and every other column group's diagonal block is an identity
-    B, norms = fm.matrix(theta)
-    B /= norms
+    np.take(norms, fm.col, out=fm.scale, mode="clip")
+    fm.B.reshape(-1)[fm.pos] = np.divide(values, fm.scale, out=fm.unit)
     for b_cols_t, b_partners, e_panel, _, _ in fm.panels:
         np.matmul(b_cols_t, b_partners, out=e_panel)
-    E = fm.E
     fm.E_diag[...] = 0.0
-    obj = float(np.add.reduce(np.multiply(E, E, out=fm.scratch), axis=None)) / fm.st.offdiag_count
-    if not math.isfinite(obj):
-        # a NaN norm turned its column's structural zeros into NaN; zero them again
-        B[...] = 0.0
-    return obj
+    # the panels' rows of E are disjoint, and E is 0 off them
+    return sum(float(np.einsum("ij,ij->", e, e)) for _, _, e, _, _ in fm.panels) / fm.st.offdiag_count
 
 
 def _coherence(fm: _FlatMap) -> float:
     """The mutual coherence at the last evaluation: the largest |E| entry."""
-    return float(np.maximum.reduce(np.abs(fm.E, out=fm.scratch), axis=None))
+    return float(max(max(np.maximum.reduce(e, None), -np.minimum.reduce(e, None))
+                     for _, _, e, _, _ in fm.panels))
 
 
 def _gradient(fm: _FlatMap) -> np.ndarray:
     """The gradient in theta at the last evaluation: the map's adjoint of the
-    global-matrix gradient."""
-    Bn, G = fm.B, fm.G
+    global-matrix gradient, formed at the placed entries."""
     for _, b_partners, _, e_partners, g_panel in fm.panels:
         np.matmul(b_partners, e_partners, out=g_panel)
-    G *= 4.0 / fm.st.offdiag_count
-    radial = np.einsum("ij,ij->j", Bn, G, out=fm.radial)
-    G -= np.multiply(Bn, radial, out=fm.sq)
-    G /= fm.norms
-    return fm.adjoint(G)
+    g, unit, tmp = fm.grad, fm.unit, fm.sq
+    np.take(fm.G.reshape(-1), fm.pos, out=g, mode="clip")
+    g *= 4.0 / fm.st.offdiag_count
+    radial = np.bincount(fm.col, weights=np.multiply(unit, g, out=tmp), minlength=fm.norms.size)
+    g -= np.multiply(unit, np.take(radial, fm.col, out=tmp, mode="clip"), out=tmp)
+    g /= fm.scale
+    return fm.adjoint(g)
 
 
 def potential_gradient(params: dict[tuple[int, int], np.ndarray],

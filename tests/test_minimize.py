@@ -152,9 +152,11 @@ def test_flat_map_matrix_equals_materialized_frame(spec):
     fm = _FlatMap(spec)
     params = fm.st.build(seed=3).params
     theta = fm.flatten(params)
-    # equal entry for entry; only the sign of structural zeros may differ
-    # (negated placed blocks hold -0.0 where the map's zeroed matrix holds 0.0)
-    B, norms = fm.matrix(theta)
+    # the placed values scatter to the frame entry for entry; only the sign of
+    # structural zeros may differ (negated placed blocks hold -0.0)
+    values, norms = fm.matrix(theta)
+    B = np.zeros(fm.st.shape)
+    B.reshape(-1)[fm.pos] = values
     assert np.array_equal(B, fm.st.build(params=params).materialize())
     assert np.array_equal(norms, np.linalg.norm(B, axis=0))
     back = fm.unflatten(theta)
@@ -168,7 +170,7 @@ def test_flat_map_matrix_equals_materialized_frame(spec):
 def test_flat_map_adjoint_equals_block_scatter(spec):
     fm = _FlatMap(spec)
     gb = np.random.default_rng(8).standard_normal(fm.st.shape)
-    got = fm.unflatten(fm.adjoint(gb))
+    got = fm.unflatten(fm.adjoint(gb.reshape(-1)[fm.pos]))
     want = block_scatter(fm.st, gb)
     assert set(got) == set(want)
     for key in want:
@@ -201,9 +203,33 @@ def test_panel_products_match_dense(spec):
     # norms, against the dense chain on every placed entry
     minimize._gradient(fm)
     gt = (4.0 / fm.st.offdiag_count) * (Bn @ dense)
-    want = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / fm.norms
-    placed = Bn != 0
-    assert np.max(np.abs(fm.G[placed] - want[placed])) <= 16 * EPS * np.max(np.abs(want))
+    want = ((gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / fm.norms).reshape(-1)[fm.pos]
+    assert np.max(np.abs(fm.grad - want)) <= 16 * EPS * np.max(np.abs(want))
+
+
+def rescanned_panels(st):
+    """Oracle split: the same search, rescanning every run's row and partner
+    hulls from ``rows_of`` and all of ``shared``."""
+    def span(lo, hi):
+        rows = [i for j in range(lo, hi) for i in st.rows_of[j]]
+        ks = [k for pair in st.shared if lo <= pair[0] < hi or lo <= pair[1] < hi for k in pair]
+        return (slice(st.row_off[min(rows)], st.row_off[max(rows) + 1]),
+                slice(st.col_off[lo], st.col_off[hi]), slice(st.col_off[min(ks)], st.col_off[max(ks) + 1]))
+    best = [(0, [])]
+    for hi in range(1, len(st.col_dims) + 1):
+        runs = [(lo, span(lo, hi)) for lo in range(hi)]
+        best.append(min(((best[lo][0] + minimize.CALL_COST + np.prod([s.stop - s.start for s in run]),
+                          best[lo][1] + [run]) for lo, run in runs), key=lambda b: b[0]))
+    return best[-1][1]
+
+
+@pytest.mark.parametrize("spec", MAP_SPECS + LADDER_A + [
+    pytest.param(fc_spec("dense", 3, [3] * 12), id="fc-dense-12"),
+    pytest.param(conv_spec("residual", 2, 3, [2] * 9), id="conv-residual-9"),
+])
+def test_panels_equal_rescanned_split(spec):
+    st = framebuild.FrameStructure(spec)
+    assert minimize._panels(st) == rescanned_panels(st)
 
 
 @pytest.mark.parametrize("spec", MAP_SPECS)
@@ -211,7 +237,7 @@ def test_flat_map_sq_norm_sums_per_parameter_array(spec):
     # theta is the parameter arrays laid end to end, each in its own memory
     # order, so the Armijo test's ||g||^2 = g @ g sums each entry once
     fm = _FlatMap(spec)
-    g = fm.adjoint(np.random.default_rng(9).standard_normal(fm.st.shape))
+    g = fm.adjoint(np.random.default_rng(9).standard_normal(fm.pos.size))
     arrays = list(fm.unflatten(g).values())
     assert all(np.shares_memory(a, g) for a in arrays)
     assert np.array_equal(np.concatenate([a.reshape(-1) for a in arrays]), g)
@@ -220,7 +246,8 @@ def test_flat_map_sq_norm_sums_per_parameter_array(spec):
 
 def block_descent(spec, seed, opts):
     """Oracle descent on per-block parameter dicts, rebuilding the frame per
-    evaluation. Its Gram and gradient products run over the descent's panels."""
+    evaluation. Its Gram and gradient products and its objective run over the
+    descent's panels, and its column sums add each column in row order."""
     st = framebuild.FrameStructure(spec)
     spans = _FlatMap(spec).spans
 
@@ -232,7 +259,9 @@ def block_descent(spec, seed, opts):
         for rows, cols, partners in spans:
             E[cols, partners] = Bn[rows, cols].T @ Bn[rows, partners]
         np.fill_diagonal(E, 0.0)
-        return float(np.sum(E * E)) / st.offdiag_count, Bn, norms, E
+        obj = sum(float(np.einsum("ij,ij->", E[cols, partners], E[cols, partners]))
+                  for _, cols, partners in spans)
+        return obj / st.offdiag_count, Bn, norms, E
 
     params = st.build(seed=seed).params
     obj, Bn, norms, E = evaluate(params)
@@ -242,7 +271,7 @@ def block_descent(spec, seed, opts):
         for rows, cols, partners in spans:
             gt[rows, cols] = Bn[rows, partners] @ E[partners, cols]
         gt *= 4.0 / st.offdiag_count
-        gb = (gt - Bn * np.einsum("ij,ij->j", Bn, gt)) / norms
+        gb = (gt - Bn * np.add.reduce(Bn * gt, axis=0)) / norms
         grads = block_scatter(st, gb)
         gnorm_sq = sum(float(np.sum(g * g)) for g in grads.values())
         while step > 1e-18:
@@ -282,13 +311,20 @@ def test_flat_descent_reproduces_block_descent_bitwise(spec):
 @pytest.mark.parametrize("spec,zero", [
     pytest.param(fc_spec("chain", 3, [4, 3]), (slice(None), 1), id="fc"),
     pytest.param(conv_spec("chain", 1, 4, [2, 2]), 1, id="conv"),
+    pytest.param(conv_spec("chain", 2, 8, [3, 2], ndim=1), 1, id="conv-1d"),
+    # strided specs have one layer, so no coupling keeps the column alive
+    pytest.param(conv_spec("chain", 2, 5, [3], filt=4, stride=2), 2, id="conv-stride2"),
 ])
 def test_flat_map_refuses_dead_diagonal_column_like_build(spec, zero):
     fm = _FlatMap(spec)
     params = fm.st.build(seed=0).params
+    # a zero entry alone kills no column
+    params[(0, 0)].reshape(-1)[0] = 0.0
+    fm.matrix(fm.flatten(params))
     params[(0, 0)][zero] = 0.0
     # the identity coupling below keeps every global column of layer 0 alive
-    assert {(b.row, b.col): b.role for b in fm.st.blocks}[(1, 0)] == "identity"
+    if spec.depth > 1:
+        assert {(b.row, b.col): b.role for b in fm.st.blocks}[(1, 0)] == "identity"
     with pytest.raises(FrameBuildError) as want:
         fm.st.build(params=params)
     with pytest.raises(FrameBuildError) as got:
@@ -301,7 +337,9 @@ def test_evaluation_allocates_less_than_one_operator():
     fm = _FlatMap(conv_spec("chain", 2, 6, [4, 4]))
     assert len(fm.spans) >= 2
     theta = fm.flatten(fm.st.build(seed=0).params)
-    operator_bytes = fm.st.shape[0] * fm.st.shape[1] * 8
+    # only width- and theta-sized bincount sums are allocated, far below
+    # even the vector of the learned entries
+    learned_bytes = 8 * np.count_nonzero(fm.source < fm.size)
     tracemalloc.start()
     try:
         for _ in range(20):
@@ -310,13 +348,14 @@ def test_evaluation_allocates_less_than_one_operator():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < operator_bytes
-    band = off_band(fm.st)
+    assert peak < learned_bytes
+    band, unplaced = off_band(fm.st), np.ones(fm.B.size, bool)
+    unplaced[fm.pos] = False
     assert np.isnan(minimize._evaluate(fm, np.full_like(theta, np.nan)))
-    assert not np.any(fm.E[band])
+    assert not np.any(fm.E[band]) and not np.any(fm.B.reshape(-1)[unplaced])
     with pytest.raises(FrameBuildError):
         minimize._evaluate(fm, np.zeros_like(theta))
-    assert not np.any(fm.E[band])
+    assert not np.any(fm.E[band]) and not np.any(fm.B.reshape(-1)[unplaced])
 
 
 @pytest.mark.parametrize("spec,zero", [
